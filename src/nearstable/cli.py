@@ -55,8 +55,11 @@ def _read(path: str) -> str:
 
 
 def _write(path: str, text: str):
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def _digest(text: str) -> str:
@@ -84,7 +87,10 @@ def _emit(args, payload: dict, elapsed: float):
 
 def _trace_sink(args):
     if getattr(args, "trace", None):
-        handle = open(args.trace, "w", encoding="utf-8")
+        try:
+            handle = open(args.trace, "w", encoding="utf-8")
+        except OSError as exc:
+            raise InputError(f"cannot open trace file {args.trace}: {exc}") from exc
         return handle, lambda line: handle.write(line + "\n")
     return None, None
 
@@ -159,7 +165,10 @@ def _cmd_round(args) -> int:
 def _cmd_verify(args) -> int:
     inst_text = _read(args.instance)
     parsed = ff.parse_document(inst_text)
-    sol_doc = json.loads(_read(args.solution))
+    try:
+        sol_doc = json.loads(_read(args.solution))
+    except json.JSONDecodeError as exc:
+        raise InputError(f"solution {args.solution} is not valid JSON: {exc}") from exc
     start = time.perf_counter()
     if isinstance(parsed, HypergraphInstance):
         capacities, matched = ff.parse_shm_solution(sol_doc)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import InternalError, PreconditionError
@@ -29,18 +30,41 @@ _SIMPLEX_BUDGET_FACTOR = 2000
 
 
 def exact_rank(vectors: Iterable[Sequence[Fraction]]) -> int:
-    """Rank of a list of rational row vectors, by Gaussian elimination."""
-    basis: list[list[Fraction]] = []
+    """Rank of a list of rational row vectors, by fraction-free elimination.
+
+    Each row is scaled to integers by the lcm of its denominators, which
+    leaves the rank unchanged.  Bareiss elimination (1968) then runs on
+    integers only: after k pivots every entry is a k-by-k minor of the
+    scaled matrix, so each division by the previous pivot is exact and the
+    entries stay as small as those minors.  Rows that become zero are
+    dropped; the rank is the number of pivots taken.
+    """
+    rows: list[list[int]] = []
     for vec in vectors:
-        row = list(vec)
-        for b in basis:
-            lead = next(i for i, x in enumerate(b) if x != 0)
-            if row[lead] != 0:
-                factor = row[lead] / b[lead]
-                row = [r - factor * bb for r, bb in zip(row, b)]
-        if any(x != 0 for x in row):
-            basis.append(row)
-    return len(basis)
+        scale = lcm(*(v.denominator for v in vec))
+        row = [v.numerator * (scale // v.denominator) for v in vec]
+        if any(row):
+            rows.append(row)
+    rank = 0
+    prev = 1
+    while rows:
+        pivot_row = rows.pop()
+        col = next(c for c, v in enumerate(pivot_row) if v)
+        piv = pivot_row[col]
+        remaining = []
+        for row in rows:
+            factor = row[col]
+            if factor:
+                row = [(piv * v - factor * p) // prev for v, p in zip(row, pivot_row)]
+                if not any(row):
+                    continue
+            elif piv != prev:
+                row = [(piv * v) // prev for v in row]
+            remaining.append(row)
+        rows = remaining
+        prev = piv
+        rank += 1
+    return rank
 
 
 def nullspace_vector(vectors: Iterable[Sequence[Fraction]], dim: int) -> list[Fraction] | None:
@@ -129,15 +153,6 @@ class LinearSystem:
             lo, up = self.lower[j], self.upper[j]
             if value < lo or (up is not None and value > up):
                 raise PreconditionError(f"fixed value for variable {j} violates its bounds")
-
-
-def box_system(num_vars: int, upper=ONE) -> LinearSystem:
-    return LinearSystem(
-        num_vars=num_vars,
-        rows=(),
-        lower=(ZERO,) * num_vars,
-        upper=(upper,) * num_vars,
-    )
 
 
 def is_feasible(sys: LinearSystem, x: Sequence[Fraction]) -> bool:

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import gt
 from typing import Callable, Sequence
 
 from .errors import InputError, InternalError, ResourceLimitError
@@ -112,8 +113,9 @@ def verify_dominating(problem: ScarfProblem, x: Sequence[Fraction]) -> Dominatio
     n, m = problem.num_rows, problem.num_cols
     x = [Fraction(v) for v in x]
     nonnegative = all(v >= 0 for v in x)
-    tight = [row_value(problem, i, x) == problem.bounds[i] for i in range(n)]
-    within = all(row_value(problem, i, x) <= problem.bounds[i] for i in range(n))
+    values = [row_value(problem, i, x) for i in range(n)]
+    tight = [values[i] == problem.bounds[i] for i in range(n)]
+    within = all(values[i] <= problem.bounds[i] for i in range(n))
     position = [{j: p for p, j in enumerate(problem.row_orders[i])} for i in range(n)]
     used = [
         [j for j in problem.row_orders[i] if x[j] != 0]
@@ -135,27 +137,27 @@ def verify_dominating(problem: ScarfProblem, x: Sequence[Fraction]) -> Dominatio
 def certify_extreme(problem: ScarfProblem, x: Sequence[Fraction]) -> bool:
     """True iff x is a vertex of {Qx <= d, x >= 0}.
 
-    The tight rows among the matrix rows and the nonnegativity rows must
-    have rank equal to the number of columns.
+    By definition the tight matrix rows together with the unit rows e_j of
+    the zero coordinates must have rank equal to the number of columns.
+    The unit rows are eliminated up front: that rank is the number of zero
+    coordinates plus the rank of the tight rows restricted to the support
+    S of x, so x is a vertex iff the restricted rows have rank |S|.  The
+    rank is computed fraction-free by `exact_rank`.
     """
     n, m = problem.num_rows, problem.num_cols
     x = [Fraction(v) for v in x]
     if any(v < 0 for v in x):
         raise InputError("point has negative entries")
+    support = [j for j in range(m) if x[j] != 0]
     vectors = []
     for i in range(n):
         value = row_value(problem, i, x)
         if value > problem.bounds[i]:
             raise InputError(f"point violates row {i}")
         if value == problem.bounds[i]:
-            vectors.append(list(problem.rows[i]))
-    unit = [Fraction(0)] * m
-    for j in range(m):
-        if x[j] == 0:
-            vec = unit.copy()
-            vec[j] = Fraction(1)
-            vectors.append(vec)
-    return exact_rank(vectors) == m
+            row = problem.rows[i]
+            vectors.append([row[j] for j in support])
+    return exact_rank(vectors) == len(support)
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +210,9 @@ class _Tableau:
         self.mat = []
         for i in range(n):
             row = [0] * (n + m)
-            for j in range(m):
-                row[n + j] = (scale * problem.rows[i][j]).numerator
+            for j, v in enumerate(problem.rows[i]):
+                if v:
+                    row[n + j] = v.numerator * (scale // v.denominator)
             row[i] = 1
             self.mat.append(row)
         self.rhs = [(scale * b).numerator for b in problem.bounds]
@@ -262,6 +265,8 @@ class _Tableau:
                 continue
             factor = self.mat[i][col]
             if factor == 0:
+                if piv == den:
+                    continue  # (v * piv) // den == v
                 if den != 1:
                     irow = self.mat[i]
                     self.mat[i] = [(v * piv) // den for v in irow]
@@ -289,12 +294,29 @@ class _Tableau:
 
 
 class _OrdinalBasis:
-    """Ordinal basis with the row -> minimum-holding-column bijection."""
+    """Ordinal basis with the row -> minimum-holding-column bijection.
+
+    `util` is a `_utility_matrix`: nonnegative and distinct within a row.
+    The per-row minima over the basis and the inverse of `owner` are kept
+    up to date by `replace`, which changes exactly two of them per step.
+    """
 
     def __init__(self, util: list[list[int]], columns: list[int], owner: dict[int, int]):
         self.util = util
         self.columns = set(columns)
         self.owner = owner  # row -> column holding that row's minimum
+        self.row_of = {col: row for row, col in owner.items()}
+        self.mins = [min(row[c] for c in self.columns) for row in util]
+        self._by_column = list(zip(*util))
+        self._descending: dict[int, list[int]] = {}
+
+    def _by_utility(self, row: int) -> list[int]:
+        """All columns, best first in `row`; built on first use."""
+        order = self._descending.get(row)
+        if order is None:
+            order = sorted(range(len(self.util[row])), key=self.util[row].__getitem__, reverse=True)
+            self._descending[row] = order
+        return order
 
     def replace(self, out_col: int) -> int:
         """Remove `out_col`, add the unique alternative completion.
@@ -302,50 +324,37 @@ class _OrdinalBasis:
         The orphaned row's minimum falls to some remaining column, which
         then holds two rows; the entering column is the best column (in
         the doubled column's original row) lying strictly above the
-        current minima in every other row.
+        current minima in every other row.  Only the orphaned row's and
+        that home row's minima change.
         """
         util = self.util
-        n = len(util)
-        total = len(util[0])
-        orphan = next(row for row, col in self.owner.items() if col == out_col)
-        remaining = self.columns - {out_col}
-        mins = []
-        argmins = []
-        for i in range(n):
-            best_col = None
-            best_val = None
-            for c in remaining:
-                v = util[i][c]
-                if best_val is None or v < best_val:
-                    best_val = v
-                    best_col = c
-            mins.append(best_val)
-            argmins.append(best_col)
-        doubled = argmins[orphan]
-        home = next(row for row, col in self.owner.items() if col == doubled)
+        mins = self.mins
+        columns = self.columns
+        orphan = self.row_of.pop(out_col)
+        columns.remove(out_col)
+        orphan_util = util[orphan]
+        doubled = min(columns, key=orphan_util.__getitem__)
+        mins[orphan] = orphan_util[doubled]
+        home = self.row_of[doubled]
+        home_min = mins[home]
+        # Every other row must rank the entering column above its minimum;
+        # masking home's minimum lets one comparison run over all rows.
+        mins[home] = -1
         entering = None
-        entering_val = None
-        for c in range(total):
-            if c in remaining:
-                continue
-            row_u = None
-            ok = True
-            for i in range(n):
-                if i == home:
-                    continue
-                if util[i][c] <= mins[i]:
-                    ok = False
-                    break
-            if ok:
-                row_u = util[home][c]
-                if entering_val is None or row_u > entering_val:
-                    entering_val = row_u
-                    entering = c
-        if entering is None or entering_val >= mins[home]:
+        by_column = self._by_column
+        for c in self._by_utility(home):
+            if c not in columns and all(map(gt, by_column[c], mins)):
+                entering = c
+                break
+        mins[home] = home_min
+        if entering is None or util[home][entering] >= home_min:
             raise InternalError("ordinal replacement step has no valid completion")
-        self.columns = remaining | {entering}
+        columns.add(entering)
+        mins[home] = util[home][entering]
         self.owner[orphan] = doubled
         self.owner[home] = entering
+        self.row_of[doubled] = orphan
+        self.row_of[entering] = home
         return entering
 
 

@@ -112,6 +112,32 @@ def test_malformed_json_is_input_error(tmp_path, capsys):
     assert code == 3
 
 
+def test_unwritable_output_is_input_error(tmp_path, capsys):
+    inst = tmp_path / "tri.json"
+    write_triangle(inst)
+    code, out, err = run(capsys, "solve", "shm", str(inst), "-o", str(tmp_path / "missing" / "x.json"))
+    assert code == 3
+    assert "input error" in err and out == ""
+
+
+def test_unwritable_trace_is_input_error(tmp_path, capsys):
+    inst = tmp_path / "tri.json"
+    write_triangle(inst)
+    code, _, err = run(capsys, "solve", "shm", str(inst), "--trace", str(tmp_path / "missing" / "t"))
+    assert code == 3
+    assert "input error" in err
+
+
+def test_malformed_solution_json_is_input_error(tmp_path, capsys):
+    inst = tmp_path / "tri.json"
+    bad = tmp_path / "bad.json"
+    write_triangle(inst)
+    bad.write_text("{", encoding="utf-8")
+    code, _, err = run(capsys, "verify", str(inst), str(bad))
+    assert code == 3
+    assert "input error" in err
+
+
 def test_unknown_field_is_input_error(tmp_path, capsys):
     doc = ff.shm_to_doc(triangle_instance())
     doc["extra"] = True

@@ -1,11 +1,15 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import deferred_acceptance
+from conftest import deferred_acceptance, triangle_instance
+from nearstable import fileformat as ff
+from nearstable.cacq import solve_cacq
 from nearstable.errors import InputError, ResourceLimitError
+from nearstable.oracle import GeneratorConfig, generate
 from nearstable.polytope import exact_rank, solve_square
 from nearstable.scarf import (
     ScarfProblem,
@@ -15,6 +19,7 @@ from nearstable.scarf import (
     solve_scarf,
     verify_dominating,
 )
+from nearstable.shm import solve_shm
 
 F = Fraction
 
@@ -118,6 +123,85 @@ def test_certify_extreme_examples():
     assert certify_extreme(square, [F(1), F(0)])
 
 
+def _fraction_rank(vectors):
+    """Rank by Gaussian elimination over Fraction, kept as an independent oracle."""
+    basis = []
+    for vec in vectors:
+        row = list(vec)
+        for b in basis:
+            lead = next(i for i, x in enumerate(b) if x != 0)
+            if row[lead] != 0:
+                factor = row[lead] / b[lead]
+                row = [r - factor * bb for r, bb in zip(row, b)]
+        if any(x != 0 for x in row):
+            basis.append(row)
+    return len(basis)
+
+
+def test_exact_rank_fraction_free_cases():
+    assert exact_rank([[]]) == 0
+    assert exact_rank([[F(0), F(0)]]) == 0
+    # mixed denominators within and across rows
+    assert exact_rank([[F(1, 2), F(1, 3)], [F(3, 4), F(1, 2)]]) == 1
+    assert exact_rank([[F(1, 2), F(1, 3)], [F(3, 4), F(1, 5)]]) == 2
+    assert exact_rank([[F(-2, 7), 1, F(5, 6)], [F(1, 7), F(-1, 2), F(-5, 12)], [0, 0, F(1, 9)]]) == 2
+    # rank-deficient: the third row is the sum of the first two
+    rows = [[F(1), F(2), F(0), F(3)], [F(0), F(1, 3), F(1), F(1)], [F(1), F(7, 3), F(1), F(4)]]
+    assert exact_rank(rows) == 2
+    assert exact_rank(rows + [[F(0), F(0), F(0), F(1, 11)]]) == 3
+    # more rows than columns
+    assert exact_rank([[2, 4], [1, 2], [3, 7], [5, 11]]) == 2
+    # against the Fraction oracle on random low-rank matrices
+    rng = random.Random(7)
+    for trial in range(300):
+        width = rng.randint(1, 7)
+        gens = [[F(rng.randint(-3, 3), rng.choice([1, 2, 3, 7])) for _ in range(width)] for _ in range(rng.randint(1, 4))]
+        rows = []
+        for _ in range(rng.randint(1, 7)):
+            coeffs = [F(rng.randint(-2, 2), rng.choice([1, 3, 5])) for _ in gens]
+            rows.append([sum((k * g[j] for k, g in zip(coeffs, gens)), F(0)) for j in range(width)])
+        assert exact_rank(rows) == _fraction_rank(rows), (trial, rows)
+
+
+def _is_vertex_by_definition(problem: ScarfProblem, x) -> bool:
+    """All tight matrix rows plus every unit row e_j with x_j = 0 have rank m."""
+    m = problem.num_cols
+    vectors = [list(problem.rows[i]) for i in range(problem.num_rows) if row_value(problem, i, x) == problem.bounds[i]]
+    for j in range(m):
+        if x[j] == 0:
+            vectors.append([F(1) if k == j else F(0) for k in range(m)])
+    return _fraction_rank(vectors) == m
+
+
+def test_certify_extreme_matches_full_rank_definition():
+    rng = random.Random(2024)
+    checked = {True: 0, False: 0}
+    for trial in range(60):
+        n = rng.randint(1, 4)
+        m = rng.randint(1, 4)
+        rows = [[rng.choice([0, 0, 1, 1, 2, F(1, 2), F(2, 3)]) for _ in range(m)] for _ in range(n)]
+        for j in range(m):
+            if all(rows[i][j] == 0 for i in range(n)):
+                rows[rng.randrange(n)][j] = F(3, 2)
+        bounds = [rng.choice([1, 2, F(3, 2), F(5, 3)]) for _ in range(n)]
+        orders = [tuple(j for j in range(m) if rows[i][j] != 0) for i in range(n)]
+        problem = make_problem(rows, bounds, orders)
+        vertices = sorted(_enumerate_extreme_points(problem))
+        points = [(v, True) for v in vertices]
+        for a, b in itertools.combinations(vertices, 2):
+            points.append((tuple((p + q) / 2 for p, q in zip(a, b)), False))
+        if len(vertices) >= 2:
+            weights = [F(rng.randint(1, 5), rng.randint(1, 4)) for _ in vertices]
+            total = sum(weights)
+            inner = tuple(sum(w * v[j] for w, v in zip(weights, vertices)) / total for j in range(m))
+            points.append((inner, False))
+        for x, is_vertex in points:
+            assert _is_vertex_by_definition(problem, x) == is_vertex, (trial, x)
+            assert certify_extreme(problem, x) == is_vertex, (trial, x)
+            checked[is_vertex] += 1
+    assert checked[True] > 100 and checked[False] > 100
+
+
 def test_certify_extreme_rejects_infeasible():
     problem = triangle_problem()
     with pytest.raises(InputError):
@@ -204,6 +288,16 @@ def _is_ordinal_basis(util, columns):
     return True
 
 
+def _assert_ordinal_state(util, ordinal):
+    """The incrementally kept minima and owner maps match a recomputation."""
+    n = len(util)
+    assert ordinal.mins == [min(util[i][c] for c in ordinal.columns) for i in range(n)]
+    assert sorted(ordinal.owner) == list(range(n))
+    assert set(ordinal.owner.values()) == ordinal.columns == set(ordinal.row_of)
+    assert all(ordinal.row_of[col] == row for row, col in ordinal.owner.items())
+    assert all(util[row][col] == ordinal.mins[row] for row, col in ordinal.owner.items())
+
+
 def test_every_intermediate_ordinal_basis_is_genuine():
     """White-box walk of the pivoting loop, re-checking each ordinal basis."""
     from nearstable.scarf import _OrdinalBasis, _Tableau, _utility_matrix
@@ -230,6 +324,7 @@ def test_every_intermediate_ordinal_basis_is_genuine():
             owner[i] = i
         ordinal = _OrdinalBasis(util, [first] + list(range(1, n)), owner)
         assert _is_ordinal_basis(util, ordinal.columns)
+        _assert_ordinal_state(util, ordinal)
         entering = first
         for _ in range(10_000):
             row = tableau.ratio_row(entering)
@@ -238,6 +333,7 @@ def test_every_intermediate_ordinal_basis_is_genuine():
                 break
             added = ordinal.replace(leaving)
             assert _is_ordinal_basis(util, ordinal.columns), trial
+            _assert_ordinal_state(util, ordinal)
             if added == 0:
                 break
             entering = added
@@ -261,3 +357,34 @@ def test_empty_problem():
     problem = make_problem([], [], [])
     point = solve_scarf(problem)
     assert point.x == ()
+
+
+LARGE_SHM = {"max_vertices": 60, "max_edges": 130, "max_edge_size": 3}
+LARGE_CACQ = {"max_students": 30, "max_colleges": 10, "max_extra_sets": 5}
+
+# SHA-256 over the pivot/rounding trace lines and the canonical certificate,
+# recorded before the engine's arithmetic was reworked: any change to the
+# pivot path or to what is certified shows up here.
+PINNED_PATHS = [
+    ("triangle", solve_shm, None, "d74a45c3fe9c6f60166cb47c4817c90e2508c71ed42b480ca42d84e74da03354"),
+    ("shm", solve_shm, 2, "5a98224a1b698c3278ac8cde18932a3a68e94ea292e83d69b9622aa81fc4720e"),
+    ("shm", solve_shm, 11, "453295d09dcc3a4ee7628ea59017d49676f0f87ede68825c15bf2ac6d06b35fc"),
+    ("cacq", solve_cacq, 3, "89a3a0ed221bb96a01abf210492c65bcbe4331624fb3754ebb261093f6723dbf"),
+    ("cacq", solve_cacq, 5, "1e44af2daf414d158ce8e8969fd2f15f76c2a9ce2c31f318c5729150375d991f"),
+]
+
+
+@pytest.mark.parametrize("family, solve, seed, expected", PINNED_PATHS)
+def test_pivot_path_and_certificate_pinned(family, solve, seed, expected):
+    if family == "triangle":
+        inst = triangle_instance()
+    else:
+        sizes = LARGE_SHM if family == "shm" else LARGE_CACQ
+        inst = generate(GeneratorConfig(family=family, seed=seed, **sizes))
+    lines = []
+    result = solve(inst, trace=lines.append)
+    digest = hashlib.sha256()
+    for line in lines:
+        digest.update(line.encode("utf-8") + b"\n")
+    digest.update(ff.canonical_dumps(result.certificate).encode("utf-8"))
+    assert digest.hexdigest() == expected

@@ -13,23 +13,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Mapping
 
 from .errors import InputError, InternalError, PreconditionError
 from .model import CacqInstance, CapacityRevision, CollegeSet, normalize_cacq, require_valid
 from .orders import break_ties
-from .polytope import LinearRow, LinearSystem, extreme_point
+from .polytope import ONE, ZERO, LinearRow, _indicator, iterative_rounding
 from .scarf import (
     DEFAULT_PIVOT_BUDGET,
-    DominatingPoint,
-    ScarfProblem,
+    ScarfBuild,
     TraceSink,
-    make_problem,
     solve_scarf,
 )
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def break_cacq_ties(inst: CacqInstance) -> CacqInstance:
@@ -56,22 +52,7 @@ def break_cacq_ties(inst: CacqInstance) -> CacqInstance:
     )
 
 
-@dataclass(frozen=True)
-class CacqScarfBuild:
-    problem: ScarfProblem
-    columns: tuple[str, ...]  # scarf column -> edge id
-    set_rows: dict  # set id -> row index
-    student_rows: dict  # student id -> row index
-    fixed_zero: tuple[str, ...]  # edges forced to 0 by zero-quota sets
-
-    def expand(self, point: DominatingPoint) -> dict:
-        x = {eid: ZERO for eid in self.fixed_zero}
-        for col, eid in enumerate(self.columns):
-            x[eid] = point.x[col]
-        return x
-
-
-def build_cacq_scarf(inst: CacqInstance) -> CacqScarfBuild:
+def build_cacq_scarf(inst: CacqInstance) -> ScarfBuild:
     """One row per college set (bound = quota) plus one per student (bound 1).
 
     A set row ranks columns by its master list, breaking same-student
@@ -84,61 +65,21 @@ def build_cacq_scarf(inst: CacqInstance) -> CacqScarfBuild:
     for s in inst.students:
         if not inst.student_prefs[s].is_strict:
             raise PreconditionError(f"student {s!r} still has ties; break them first")
-    dead_colleges = set()
-    for cs in inst.sets:
-        if cs.quota == 0:
-            dead_colleges.update(cs.colleges)
+    dead_colleges = {c for cs in inst.sets if cs.quota == 0 for c in cs.colleges}
     fixed_zero = tuple(e.id for e in inst.edges if e.college in dead_colleges)
-    columns = tuple(e.id for e in inst.edges if e.id not in set(fixed_zero))
-    col_index = {eid: i for i, eid in enumerate(columns)}
-    edge_map = inst.edge_by_id()
-    m = len(columns)
-    rows = []
-    bounds = []
-    orders = []
-    set_rows = {}
     student_ranks = {s: inst.student_prefs[s].ranks() for s in inst.students}
+    rows = []
     for cs in inst.sets:
         if cs.quota == 0:
             continue
-        members = set(cs.colleges)
-        row = [ZERO] * m
-        cols = []
-        for eid in columns:
-            if edge_map[eid].college in members:
-                row[col_index[eid]] = ONE
-                cols.append(eid)
         master_rank = cs.master.ranks()
-        cols.sort(key=lambda eid: (master_rank[edge_map[eid].student], student_ranks[edge_map[eid].student][eid]))
-        set_rows[cs.id] = len(rows)
-        rows.append(tuple(row))
-        bounds.append(Fraction(cs.quota))
-        orders.append(tuple(col_index[eid] for eid in cols))
-    student_rows = {}
+        members = [e for e in inst.edges if e.college in cs.colleges and e.college not in dead_colleges]
+        members.sort(key=lambda e: (master_rank[e.student], student_ranks[e.student][e.id]))
+        rows.append((cs.quota, {e.id for e in members}, [e.id for e in members]))
     for s in inst.students:
-        row = [ZERO] * m
-        cols = []
-        for eid in columns:
-            if edge_map[eid].student == s:
-                row[col_index[eid]] = ONE
-                cols.append(eid)
-        ranked = [eid for group in inst.student_prefs[s].tie_groups for eid in group if eid in col_index]
-        student_rows[s] = len(rows)
-        rows.append(tuple(row))
-        bounds.append(ONE)
-        orders.append(tuple(col_index[eid] for eid in ranked))
-    problem = make_problem(rows, bounds, orders)
-    return CacqScarfBuild(
-        problem=problem,
-        columns=columns,
-        set_rows=set_rows,
-        student_rows=student_rows,
-        fixed_zero=fixed_zero,
-    )
-
-
-def _is_integral(value: Fraction) -> bool:
-    return value.denominator == 1
+        ranked = [eid for group in inst.student_prefs[s].tie_groups for eid in group]
+        rows.append((1, {e.id for e in inst.edges if e.student == s}, ranked))
+    return ScarfBuild.from_rows([e.id for e in inst.edges], fixed_zero, rows)
 
 
 def _set_loads(inst: CacqInstance, values: Mapping) -> dict:
@@ -168,6 +109,24 @@ def pinned_students(inst: CacqInstance, x_star: Mapping) -> tuple[str, ...]:
     return tuple(s for s in inst.students if loads[s] == 1)
 
 
+def _cacq_rule(sets, columns, ell, z, fractional, active):
+    """First non-tight set row with fractional mass <= 2L - 1, else first tight one with mass <= 2L.
+
+    Tightness is taken at `z`.  Rows i < len(sets) are the set rows; the
+    student rows after them are never deleted.
+    """
+    for tight, allowance in ((False, 2 * ell - 1), (True, 2 * ell)):
+        for i in active:
+            if i < len(sets):
+                cols = columns[i]
+                load = sum(z[j] for j in cols)
+                mass = sum(1 for j in cols if j in fractional)
+                if (load == sets[i].quota) == tight and mass <= allowance:
+                    kind = "tight" if tight else "non-tight"
+                    return i, sets[i].id, kind, f"{kind} set {sets[i].id}"
+    return None
+
+
 def round_cacq(inst: CacqInstance, x_star: Mapping, trace: TraceSink | None = None):
     """Algorithm-2-style rounding over the set rows.
 
@@ -178,74 +137,25 @@ def round_cacq(inst: CacqInstance, x_star: Mapping, trace: TraceSink | None = No
     declared order.  Tightness is evaluated at the current iterate.
     """
     edges = [e.id for e in inst.edges]
-    index = {eid: i for i, eid in enumerate(edges)}
-    edge_map = inst.edge_by_id()
-    ell = inst.max_memberships
-    z = [Fraction(x_star[eid]) for eid in edges]
     pinned = pinned_students(inst, x_star)
-    active = [cs for cs in inst.sets if cs.quota > 0]
-    set_columns = {
-        cs.id: [eid for eid in edges if edge_map[eid].college in set(cs.colleges)] for cs in inst.sets
-    }
-    student_columns = {s: [eid for eid in edges if edge_map[eid].student == s] for s in inst.students}
-    steps = []
-    max_deletions = len(active) + 1
-    while any(not _is_integral(v) for v in z):
-        fractional = {edges[i] for i, v in enumerate(z) if not _is_integral(v)}
-        current = {eid: z[index[eid]] for eid in edges}
-        deleted = None
-        tightness = None
-        for cs in active:
-            load = sum(current[eid] for eid in set_columns[cs.id])
-            mass = sum(1 for eid in set_columns[cs.id] if eid in fractional)
-            if load != cs.quota and mass <= 2 * ell - 1:
-                deleted = cs
-                tightness = "non-tight"
-                break
-        if deleted is None:
-            for cs in active:
-                load = sum(current[eid] for eid in set_columns[cs.id])
-                mass = sum(1 for eid in set_columns[cs.id] if eid in fractional)
-                if load == cs.quota and mass <= 2 * ell:
-                    deleted = cs
-                    tightness = "tight"
-                    break
-        if deleted is None:
-            raise InternalError("no deletable set row although the vector is fractional")
-        active.remove(deleted)
-        rows = []
-        for cs in active:
-            coeffs = [ZERO] * len(edges)
-            for eid in set_columns[cs.id]:
-                coeffs[index[eid]] = ONE
-            rows.append(LinearRow(tuple(coeffs), "le", Fraction(cs.quota)))
-        for s in inst.students:
-            coeffs = [ZERO] * len(edges)
-            for eid in student_columns[s]:
-                coeffs[index[eid]] = ONE
-            relation = "eq" if s in pinned else "le"
-            rows.append(LinearRow(tuple(coeffs), relation, ONE))
-        system = LinearSystem(
-            num_vars=len(edges),
-            rows=tuple(rows),
-            lower=(ZERO,) * len(edges),
-            upper=(None,) * len(edges),
-            fixed={i: z[i] for i in range(len(edges)) if _is_integral(z[i])},
-        )
-        z = list(extreme_point(system, None, z))
-        steps.append(
-            {
-                "deleted": deleted.id,
-                "kind": tightness,
-                "fractional": len(fractional),
-            }
-        )
-        if trace is not None:
-            trace(f"round step {len(steps)}: delete {tightness} set {deleted.id}, fractional={len(fractional)}")
-        if len(steps) > max_deletions:
-            raise InternalError("rounding exceeded the set-row deletion bound")
-    y = {edges[i]: int(z[i]) for i in range(len(edges))}
-    return y, steps
+    sets = [cs for cs in inst.sets if cs.quota > 0]
+    columns = [{j for j, e in enumerate(inst.edges) if e.college in cs.colleges} for cs in sets]
+    student_columns = [{j for j, e in enumerate(inst.edges) if e.student == s} for s in inst.students]
+    rows = [
+        LinearRow(_indicator(cols, len(edges)), "le", Fraction(cs.quota))
+        for cs, cols in zip(sets, columns)
+    ] + [
+        LinearRow(_indicator(cols, len(edges)), "eq" if s in pinned else "le", ONE)
+        for s, cols in zip(inst.students, student_columns)
+    ]
+    z, steps = iterative_rounding(
+        [Fraction(x_star[eid]) for eid in edges],
+        rows,
+        partial(_cacq_rule, sets, columns, inst.max_memberships),
+        upper=None,
+        trace=trace,
+    )
+    return dict(zip(edges, z)), steps
 
 
 def compute_cacq_quotas(inst: CacqInstance, x_star: Mapping, y: Mapping) -> CapacityRevision:

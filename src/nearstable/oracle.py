@@ -27,10 +27,9 @@ from .model import (
     require_valid,
 )
 from .orders import WeakOrder
+from .polytope import ZERO
 from .shm import verify_shm
 from .smf import verify_flow
-
-ZERO = Fraction(0)
 
 DEFAULT_EDGE_CAP = 20
 DEFAULT_CANDIDATE_CAP = 2_000_000
@@ -124,14 +123,36 @@ class GeneratorConfig:
     retry_cap: int = 60
 
 
+# Per family, the least value of each size field that family draws from.
+_FIELD_MINIMA = {
+    "shm": {"max_vertices": 3, "max_edges": 2, "max_edge_size": 1},
+    "fixtures": {"max_vertices": 3, "max_edges": 2},
+    "cacq": {"max_students": 2, "max_colleges": 2, "max_extra_sets": 0},
+    "smf": {"max_vertices": 4, "max_arcs": 1, "commodities": 1},
+}
+
+
+def _check_config(config: GeneratorConfig):
+    """Reject, by name, a field the family reads whose value no draw can use."""
+    least = dict(_FIELD_MINIMA.get(config.family, {}))
+    if "max_edges" in least:  # an instance on n vertices gets at least n - 2 edges
+        least["max_edges"] = max(2, config.max_vertices - 2)
+    for name, low in least.items():
+        if getattr(config, name) < low:
+            raise InputError(f"generator field {name} must be at least {low}, got {getattr(config, name)}")
+    if not 0 <= config.tie_permille <= 1000:
+        raise InputError(f"generator field tie_permille must be between 0 and 1000, got {config.tie_permille}")
+
+
 def generate(config: GeneratorConfig):
     """Deterministic instance for the given family and seed.
 
     For the flow family the result is an (instance, flow) pair where the
     flow has been certified stable by the verifier; generation retries
     with fresh randomness until certification succeeds or the retry cap
-    is hit.
+    is hit.  Size fields out of range for the family raise InputError.
     """
+    _check_config(config)
     rng = SplitMix64(config.seed)
     if config.family in ("shm", "fixtures"):
         inst = _generate_shm(rng, config)

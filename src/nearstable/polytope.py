@@ -1,4 +1,10 @@
-"""Exact rational linear programming on small polytopes.
+"""Exact rational linear algebra, linear programming and iterative rounding.
+
+All elimination runs through one integer kernel, `_echelon`: rows are
+scaled to integers, reduced in input order without division and divided
+by their content.  `exact_rank`, `nullspace_vector`, `solve_square` and the
+active-set start of the simplex are each a reading of its output, so they
+agree with one another and with Fraction elimination in the same order.
 
 Systems are given as equality/inequality rows plus per-variable bounds and a
 set of variables fixed to constants.  `extreme_point` walks from a feasible
@@ -7,14 +13,17 @@ a Bland-rule active-set simplex; every number is a `fractions.Fraction`, so
 results are exact and deterministic.  `rank_of_tight_rows` certifies
 vertexhood: a feasible point is a vertex iff the rows tight at it (bound
 rows included) have rank equal to the number of unfixed variables.
+`iterative_rounding` is the rounding loop both capacity-revision pipelines
+share: delete one row by a pipeline's rule, fix the integral coordinates,
+re-solve with `extreme_point`, repeat until the vector is integral.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
-from typing import Iterable, Sequence
+from math import gcd, lcm
+from typing import Callable, Iterable, Sequence
 
 from .errors import InternalError, PreconditionError
 
@@ -24,96 +33,94 @@ ONE = Fraction(1)
 _SIMPLEX_BUDGET_FACTOR = 2000
 
 
+def _is_integral(value: Fraction) -> bool:
+    return value.denominator == 1
+
+
+def _indicator(columns: Iterable[int], n: int) -> tuple[Fraction, ...]:
+    """Coefficient 1 on `columns` and 0 on the other of n variables."""
+    coeffs = [ZERO] * n
+    for j in columns:
+        coeffs[j] = ONE
+    return tuple(coeffs)
+
+
 # ---------------------------------------------------------------------------
-# exact linear algebra helpers (shared with the Scarf engine)
+# exact linear algebra (shared with the Scarf engine)
 # ---------------------------------------------------------------------------
+
+
+def _echelon(vectors: Iterable[Sequence[Fraction]]) -> list[tuple[int, int, list[int]]]:
+    """(input index, lead column, integer row) for each independent input row.
+
+    Each row is scaled to integers by the lcm of its denominators, then
+    reduced in input order against the rows kept so far: with `b` a kept
+    row and `lead` its first nonzero column, the row becomes
+    `b[lead]*row - row[lead]*b`.  A row left nonzero is divided by its
+    content (the gcd of its entries) and kept.  Every kept row is a nonzero
+    multiple of the row Fraction elimination in the same order keeps, and
+    vanishes on the lead columns of the rows kept before it.
+    """
+    kept = []
+    for index, vec in enumerate(vectors):
+        # Most entries are integers: only denominators other than 1 enter the lcm.
+        scale = 1
+        for v in vec:
+            if v.denominator != 1:
+                scale = lcm(scale, v.denominator)
+        row = [v.numerator * (scale // v.denominator) for v in vec]
+        for _, lead, b in kept:
+            factor = row[lead]
+            if factor:
+                piv = b[lead]
+                row = [piv * r - factor * c for r, c in zip(row, b)]
+        lead = next((c for c, v in enumerate(row) if v), None)
+        if lead is None:
+            continue
+        content = gcd(*row)
+        if content != 1:
+            row = [v // content for v in row]
+        kept.append((index, lead, row))
+    return kept
 
 
 def exact_rank(vectors: Iterable[Sequence[Fraction]]) -> int:
-    """Rank of a list of rational row vectors, by fraction-free elimination.
-
-    Each row is scaled to integers by the lcm of its denominators, which
-    leaves the rank unchanged.  Bareiss elimination (1968) then runs on
-    integers only: after k pivots every entry is a k-by-k minor of the
-    scaled matrix, so each division by the previous pivot is exact and the
-    entries stay as small as those minors.  Rows that become zero are
-    dropped; the rank is the number of pivots taken.
-    """
-    rows: list[list[int]] = []
-    for vec in vectors:
-        scale = lcm(*(v.denominator for v in vec))
-        row = [v.numerator * (scale // v.denominator) for v in vec]
-        if any(row):
-            rows.append(row)
-    rank = 0
-    prev = 1
-    while rows:
-        pivot_row = rows.pop()
-        col = next(c for c, v in enumerate(pivot_row) if v)
-        piv = pivot_row[col]
-        remaining = []
-        for row in rows:
-            factor = row[col]
-            if factor:
-                row = [(piv * v - factor * p) // prev for v, p in zip(row, pivot_row)]
-                if not any(row):
-                    continue
-            elif piv != prev:
-                row = [(piv * v) // prev for v in row]
-            remaining.append(row)
-        rows = remaining
-        prev = piv
-        rank += 1
-    return rank
+    """Rank of a list of rational row vectors: the rows `_echelon` keeps."""
+    return len(_echelon(vectors))
 
 
 def nullspace_vector(vectors: Iterable[Sequence[Fraction]], dim: int) -> list[Fraction] | None:
     """Some nonzero w with v . w = 0 for every v, or None if none exists.
 
-    Deterministic: the free coordinate chosen is the lowest-index column
-    without a pivot after elimination.
+    Deterministic: w is 1 on the lowest-index column without a lead after
+    elimination and 0 on the other such columns.  The lead coordinates are
+    solved in reverse order of insertion: a kept row vanishes on the leads
+    of earlier rows, so every other coordinate it touches is known by then.
     """
-    basis: list[list[Fraction]] = []
-    for vec in vectors:
-        row = list(vec)
-        for b in basis:
-            lead = next(i for i, x in enumerate(b) if x != 0)
-            if row[lead] != 0:
-                factor = row[lead] / b[lead]
-                row = [r - factor * bb for r, bb in zip(row, b)]
-        if any(x != 0 for x in row):
-            basis.append(row)
-    if len(basis) >= dim:
+    kept = _echelon(vectors)
+    if len(kept) >= dim:
         return None
-    pivots = {next(i for i, x in enumerate(b) if x != 0) for b in basis}
-    free = next(i for i in range(dim) if i not in pivots)
+    leads = {lead for _, lead, _ in kept}
     w = [ZERO] * dim
-    w[free] = ONE
-    # Back-substitute in reverse order of insertion; rows are triangular
-    # with distinct leading columns.
-    for b in reversed(basis):
-        lead = next(i for i, x in enumerate(b) if x != 0)
-        acc = sum((b[i] * w[i] for i in range(dim) if i != lead), ZERO)
-        w[lead] = -acc / b[lead]
+    w[next(i for i in range(dim) if i not in leads)] = ONE
+    for _, lead, b in reversed(kept):
+        w[lead] = -sum((c * wi for c, wi in zip(b, w) if c and wi), ZERO) / b[lead]
     return w
 
 
 def solve_square(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction]:
-    """Solve M x = rhs for square nonsingular M, exactly."""
+    """Solve M x = rhs for square nonsingular M, exactly.
+
+    x is the null vector of [M | -rhs] when its last coordinate is 1.  That
+    happens iff M is nonsingular: otherwise the chosen free column lies
+    inside M, and the last coordinate is either another free column (0) or
+    the lead of the row (0, ..., 0, c) (also 0).
+    """
     n = len(matrix)
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise InternalError("singular matrix in exact solve")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = ONE / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
+    w = nullspace_vector([[*row, -b] for row, b in zip(matrix, rhs)], n + 1)
+    if w is None or w[n] != ONE:
+        raise InternalError("singular matrix in exact solve")
+    return w[:n]
 
 
 # ---------------------------------------------------------------------------
@@ -199,11 +206,9 @@ class _Reduced:
             out[j] = x[i]
         return tuple(out)
 
-    def reduce_point(self, x: Sequence[Fraction]) -> list[Fraction]:
-        return [Fraction(x[j]) for j in self.free]
-
-    def reduce_objective(self, objective: Sequence[Fraction]) -> list[Fraction]:
-        return [Fraction(objective[j]) for j in self.free]
+    def reduce(self, vector: Sequence[Fraction]) -> list[Fraction]:
+        """A point or objective restricted to the unfixed variables."""
+        return [Fraction(vector[j]) for j in self.free]
 
     # Constraint descriptors: ("le", row index), ("lo", var index),
     # ("up", var index).  Equality rows are handled separately since they
@@ -314,19 +319,8 @@ def _initial_active_set(red: _Reduced, x: list[Fraction]):
     Equality rows are added first so they are always represented; dependent
     equality rows are implied by the chosen ones and stay satisfied.
     """
-    chosen = []
-    basis: list[list[Fraction]] = []
-    for desc in _tight_descriptors(red, x):
-        vec = red.descriptor_vector(desc)
-        row = list(vec)
-        for b in basis:
-            lead = next(i for i, c in enumerate(b) if c != 0)
-            if row[lead] != 0:
-                factor = row[lead] / b[lead]
-                row = [r - factor * bb for r, bb in zip(row, b)]
-        if any(c != 0 for c in row):
-            basis.append(row)
-            chosen.append(desc)
+    tight = _tight_descriptors(red, x)
+    chosen = [tight[index] for index, _, _ in _echelon(red.descriptor_vector(d) for d in tight)]
     if len(chosen) != red.n:
         raise InternalError("active-set start point is not a vertex")
     return chosen
@@ -374,10 +368,10 @@ def extreme_point(
     if not is_feasible(sys, warm):
         raise PreconditionError("warm start point is not feasible for the system")
     red = _Reduced(sys)
-    x = red.reduce_point(warm)
+    x = red.reduce(warm)
     if red.n == 0:
         return red.full_point(x)
-    obj = red.reduce_objective(objective) if objective is not None else None
+    obj = red.reduce(objective) if objective is not None else None
     x = _purify(red, x, obj)
     if obj is not None and any(c != 0 for c in obj):
         x = _simplex(red, x, obj)
@@ -387,6 +381,60 @@ def extreme_point(
     return result
 
 
+def iterative_rounding(
+    start: Sequence[Fraction],
+    rows: Sequence[LinearRow],
+    rule: Callable[[list[Fraction], set[int], list[int]], tuple | None],
+    upper: Fraction | None,
+    objective: Sequence[Fraction] | None = None,
+    trace: Callable[[str], None] | None = None,
+) -> tuple[list[int], list[dict]]:
+    """Round a fractional vertex by deleting one row per step (Lau, Ravi & Singh 2011).
+
+    `rows` hold with 0 <= z <= upper (unbounded above when None).  Each step
+    asks `rule(z, fractional, active)` (the fractional coordinates of `z`,
+    the indices of the rows still imposed, in order) for (row index,
+    deleted id, kind, trace label), or None when no row may go.  The row
+    is dropped, the integral coordinates are fixed, and `extreme_point`
+    re-solves from `z`, maximizing `objective` if given; it must never
+    decrease.  Returns the integral vector and one record per step.
+    """
+    n = len(start)
+    z = [Fraction(v) for v in start]
+    active = list(range(len(rows)))
+    steps = []
+    while True:
+        fractional = {j for j, v in enumerate(z) if not _is_integral(v)}
+        if not fractional:
+            return [int(v) for v in z], steps
+        if len(steps) == len(rows):
+            raise InternalError("rounding exceeded the deletion bound")
+        choice = rule(z, fractional, active)
+        if choice is None:
+            raise InternalError("no deletable row although the vector is fractional")
+        index, deleted, kind, label = choice
+        active.remove(index)
+        system = LinearSystem(
+            num_vars=n,
+            rows=tuple(rows[i] for i in active),
+            lower=(ZERO,) * n,
+            upper=(upper,) * n,
+            fixed={j: z[j] for j in range(n) if j not in fractional},
+        )
+        previous, z = z, list(extreme_point(system, objective, z))
+        step = {"deleted": deleted, "kind": kind, "fractional": len(fractional)}
+        line = f"round step {len(steps) + 1}: delete {label}, fractional={len(fractional)}"
+        if objective is not None:
+            value = _dot(objective, z)
+            if value < _dot(objective, previous):
+                raise InternalError("rounding objective decreased")
+            step["objective"] = str(value)
+            line += f", objective={value}"
+        steps.append(step)
+        if trace is not None:
+            trace(line)
+
+
 def rank_of_tight_rows(sys: LinearSystem, x: Sequence[Fraction]) -> int:
     """Exact rank of the constraint rows (bounds included) tight at x.
 
@@ -394,7 +442,7 @@ def rank_of_tight_rows(sys: LinearSystem, x: Sequence[Fraction]) -> int:
     scores exactly the number of unfixed variables.
     """
     red = _Reduced(sys)
-    xr = red.reduce_point(x)
+    xr = red.reduce(x)
     vectors = [red.descriptor_vector(d) for d in _tight_descriptors(red, xr)]
     return exact_rank(vectors)
 

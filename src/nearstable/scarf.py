@@ -26,7 +26,7 @@ from operator import gt
 from typing import Callable, Sequence
 
 from .errors import InputError, InternalError, ResourceLimitError
-from .polytope import exact_rank
+from .polytope import ZERO, _indicator, exact_rank
 
 DEFAULT_PIVOT_BUDGET = 10_000_000
 
@@ -89,6 +89,40 @@ class DominatingPoint:
 
 
 @dataclass(frozen=True)
+class ScarfBuild:
+    """A pipeline's Scarf problem over the edges not pre-fixed to zero."""
+
+    problem: ScarfProblem
+    columns: tuple[str, ...]  # scarf column -> edge id
+    fixed_zero: tuple[str, ...]  # edges forced to 0 before the problem is built
+
+    @classmethod
+    def from_rows(cls, edge_ids, fixed_zero, rows) -> ScarfBuild:
+        """Columns are the edges outside `fixed_zero`, in order.
+
+        Each row is (bound, member edges, edges best first): coefficient 1
+        on its member columns, ranked in that order.  Pre-fixed edges are
+        dropped from both.
+        """
+        dead = set(fixed_zero)
+        columns = tuple(eid for eid in edge_ids if eid not in dead)
+        col_index = {eid: j for j, eid in enumerate(columns)}
+        matrix, bounds, orders = [], [], []
+        for bound, members, ranked in rows:
+            matrix.append(_indicator((col_index[eid] for eid in members if eid in col_index), len(columns)))
+            bounds.append(bound)
+            orders.append(tuple(col_index[eid] for eid in ranked if eid in col_index))
+        return cls(make_problem(matrix, bounds, orders), columns, tuple(fixed_zero))
+
+    def expand(self, point: DominatingPoint) -> dict:
+        """Fractional vector over all edges, zeros on the pre-fixed ones."""
+        x = {eid: ZERO for eid in self.fixed_zero}
+        for col, eid in enumerate(self.columns):
+            x[eid] = point.x[col]
+        return x
+
+
+@dataclass(frozen=True)
 class DominationReport:
     nonnegative: bool
     within_bounds: bool
@@ -100,7 +134,7 @@ class DominationReport:
 
 
 def row_value(problem: ScarfProblem, i: int, x: Sequence[Fraction]) -> Fraction:
-    return sum((problem.rows[i][j] * x[j] for j in range(problem.num_cols) if problem.rows[i][j] != 0), Fraction(0))
+    return sum((problem.rows[i][j] * x[j] for j in range(problem.num_cols) if problem.rows[i][j] != 0), ZERO)
 
 
 def verify_dominating(problem: ScarfProblem, x: Sequence[Fraction]) -> DominationReport:
@@ -285,7 +319,7 @@ class _Tableau:
         return leaving
 
     def solution(self) -> list[Fraction]:
-        x = [Fraction(0)] * self.m
+        x = [ZERO] * self.m
         for i in range(self.n):
             col = self.basis[i]
             if col >= self.n:

@@ -20,23 +20,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Mapping
 
 from .errors import InputError, InternalError, PreconditionError
 from .model import CapacityRevision, HyperEdge, HypergraphInstance, require_valid
 from .orders import WeakOrder, break_ties
-from .polytope import LinearRow, LinearSystem, extreme_point
+from .polytope import ONE, ZERO, LinearRow, _indicator, _is_integral, iterative_rounding
 from .scarf import (
     DEFAULT_PIVOT_BUDGET,
-    DominatingPoint,
-    ScarfProblem,
+    ScarfBuild,
     TraceSink,
-    make_problem,
     solve_scarf,
 )
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def break_instance_ties(inst: HypergraphInstance) -> HypergraphInstance:
@@ -84,22 +80,7 @@ def add_saturation_gadget(inst: HypergraphInstance) -> HypergraphInstance:
     )
 
 
-@dataclass(frozen=True)
-class ShmScarfBuild:
-    problem: ScarfProblem
-    columns: tuple[str, ...]  # scarf column -> edge id
-    vertex_rows: dict  # vertex id -> row index
-    fixed_zero: tuple[str, ...]  # edges forced to 0 (incident to a zero-capacity vertex)
-
-    def expand(self, point: DominatingPoint) -> dict:
-        """Fractional vector over all edges, zeros on the pre-fixed ones."""
-        x = {eid: ZERO for eid in self.fixed_zero}
-        for col, eid in enumerate(self.columns):
-            x[eid] = point.x[col]
-        return x
-
-
-def build_shm_scarf(inst: HypergraphInstance) -> ShmScarfBuild:
+def build_shm_scarf(inst: HypergraphInstance) -> ScarfBuild:
     """Incidence rows (bound q(v)) over an identity block (bound 1).
 
     Vertex row orders follow the strict preferences; identity rows are
@@ -112,37 +93,14 @@ def build_shm_scarf(inst: HypergraphInstance) -> ShmScarfBuild:
             raise PreconditionError(f"vertex {v!r} still has ties; break them first")
     dead = {v for v in inst.vertices if inst.capacities[v] == 0}
     fixed_zero = tuple(e.id for e in inst.edges if any(v in dead for v in e.vertices))
-    columns = tuple(e.id for e in inst.edges if e.id not in set(fixed_zero))
-    col_index = {eid: i for i, eid in enumerate(columns)}
-    m = len(columns)
-    live_vertices = [v for v in inst.vertices if v not in dead]
-    rows = []
-    bounds = []
-    orders = []
-    vertex_rows = {}
-    edge_map = inst.edge_by_id()
-    for v in live_vertices:
-        row = [ZERO] * m
-        for eid in columns:
-            if v in edge_map[eid].vertices:
-                row[col_index[eid]] = ONE
-        vertex_rows[v] = len(rows)
-        rows.append(tuple(row))
-        bounds.append(Fraction(inst.capacities[v]))
-        ranked = [eid for group in inst.preferences[v].tie_groups for eid in group]
-        orders.append(tuple(col_index[eid] for eid in ranked if eid in col_index))
-    for eid in columns:
-        row = [ZERO] * m
-        row[col_index[eid]] = ONE
-        rows.append(tuple(row))
-        bounds.append(ONE)
-        orders.append((col_index[eid],))
-    problem = make_problem(rows, bounds, orders)
-    return ShmScarfBuild(problem=problem, columns=columns, vertex_rows=vertex_rows, fixed_zero=fixed_zero)
-
-
-def _is_integral(value: Fraction) -> bool:
-    return value.denominator == 1
+    incident = inst.incident()
+    rows = [
+        (inst.capacities[v], set(incident[v]), [eid for group in inst.preferences[v].tie_groups for eid in group])
+        for v in inst.vertices
+        if v not in dead
+    ]
+    rows += [(1, {e.id}, (e.id,)) for e in inst.edges if e.id not in fixed_zero]
+    return ScarfBuild.from_rows([e.id for e in inst.edges], fixed_zero, rows)
 
 
 def _vertex_loads(inst: HypergraphInstance, values: Mapping) -> dict:
@@ -156,6 +114,21 @@ def _vertex_loads(inst: HypergraphInstance, values: Mapping) -> dict:
     return loads
 
 
+def _shm_rule(vertices, columns, ell, z, fractional, active):
+    """First vertex row with fractional mass at most L, else the aggregate row.
+
+    Row i < len(vertices) is vertex i; the aggregate row comes last and may
+    go once at most one edge is fractional.
+    """
+    aggregate = len(vertices)
+    for i in active:
+        if i < aggregate and sum(1 for j in columns[i] if j in fractional) <= ell:
+            return i, vertices[i], "vertex", f"vertex {vertices[i]}"
+    if aggregate in active and len(fractional) <= 1:
+        return aggregate, "aggregate", "aggregate", "aggregate aggregate"
+    return None
+
+
 def round_shm(inst: HypergraphInstance, x_star: Mapping, trace: TraceSink | None = None):
     """Iterative rounding of a saturating fractional stable vector.
 
@@ -164,72 +137,28 @@ def round_shm(inst: HypergraphInstance, x_star: Mapping, trace: TraceSink | None
     (deleted row, fractional count, objective value).
     """
     edges = [e.id for e in inst.edges]
-    sizes = {e.id: len(e.vertices) for e in inst.edges}
     index = {eid: i for i, eid in enumerate(edges)}
-    ell = inst.max_edge_size
     loads = _vertex_loads(inst, x_star)
     for v in inst.vertices:
         if loads[v] != inst.capacities[v]:
             raise PreconditionError(f"vertex row {v!r} is not tight at the fractional point")
-    z = [Fraction(x_star[eid]) for eid in edges]
     incident = inst.incident()
-    active = list(inst.vertices)
-    aggregate_active = True
-    aggregate_target = Fraction(sum(inst.capacities[v] for v in inst.vertices))
-    objective = [Fraction(sizes[eid]) for eid in edges]
-    steps = []
-    deletions_cap = len(inst.vertices) + 1
-    while any(not _is_integral(v) for v in z):
-        fractional = {edges[i] for i, v in enumerate(z) if not _is_integral(v)}
-        deleted = None
-        for v in active:
-            mass = sum(1 for eid in incident[v] if eid in fractional)
-            if mass <= ell:
-                deleted = v
-                break
-        if deleted is not None:
-            active.remove(deleted)
-            kind = "vertex"
-        elif aggregate_active and len(fractional) <= 1:
-            aggregate_active = False
-            kind = "aggregate"
-            deleted = "aggregate"
-        else:
-            raise InternalError("no deletable row although the vector is fractional")
-        rows = []
-        for v in active:
-            coeffs = [ZERO] * len(edges)
-            for eid in incident[v]:
-                coeffs[index[eid]] = ONE
-            rows.append(LinearRow(tuple(coeffs), "eq", Fraction(inst.capacities[v])))
-        if aggregate_active:
-            rows.append(LinearRow(tuple(objective), "eq", aggregate_target))
-        system = LinearSystem(
-            num_vars=len(edges),
-            rows=tuple(rows),
-            lower=(ZERO,) * len(edges),
-            upper=(ONE,) * len(edges),
-            fixed={i: z[i] for i in range(len(edges)) if _is_integral(z[i])},
-        )
-        previous_value = sum(objective[i] * z[i] for i in range(len(edges)))
-        z = list(extreme_point(system, objective, z))
-        value = sum(objective[i] * z[i] for i in range(len(edges)))
-        if value < previous_value:
-            raise InternalError("rounding objective decreased")
-        steps.append(
-            {
-                "deleted": deleted,
-                "kind": kind,
-                "fractional": len(fractional),
-                "objective": str(value),
-            }
-        )
-        if trace is not None:
-            trace(f"round step {len(steps)}: delete {kind} {deleted}, fractional={len(fractional)}, objective={value}")
-        if len(steps) > deletions_cap:
-            raise InternalError("rounding exceeded the deletion bound")
-    y = {edges[i]: int(z[i]) for i in range(len(edges))}
-    return y, steps
+    columns = [{index[eid] for eid in incident[v]} for v in inst.vertices]
+    objective = tuple(Fraction(len(e.vertices)) for e in inst.edges)
+    rows = [
+        LinearRow(_indicator(cols, len(edges)), "eq", Fraction(inst.capacities[v]))
+        for v, cols in zip(inst.vertices, columns)
+    ]
+    rows.append(LinearRow(objective, "eq", Fraction(sum(inst.capacities[v] for v in inst.vertices))))
+    z, steps = iterative_rounding(
+        [Fraction(x_star[eid]) for eid in edges],
+        rows,
+        partial(_shm_rule, inst.vertices, columns, inst.max_edge_size),
+        upper=ONE,
+        objective=objective,
+        trace=trace,
+    )
+    return dict(zip(edges, z)), steps
 
 
 def compute_shm_capacities(inst: HypergraphInstance, x_star: Mapping, y: Mapping) -> CapacityRevision:

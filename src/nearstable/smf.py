@@ -19,10 +19,8 @@ from typing import Mapping
 
 from .errors import InputError, InternalError, PreconditionError, UnstableInputError
 from .model import CapacityRevision, FlowInstance, require_valid
+from .polytope import ZERO, _is_integral
 from .scarf import TraceSink
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -210,10 +208,6 @@ class AugmentingStructure:
     vertices: tuple[str, ...]
     eps_up: Fraction  # step that raises forward arcs to the next integer
     eps_down: Fraction  # step that lowers forward arcs to the previous integer
-
-
-def _is_integral(value: Fraction) -> bool:
-    return value.denominator == 1
 
 
 def find_fractional_structure(inst: FlowInstance, values: Mapping, j: int) -> AugmentingStructure:

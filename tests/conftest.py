@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from nearstable.model import (
@@ -119,6 +121,140 @@ def single_arc_flow_instance(k: int = 2) -> FlowInstance:
         commodity_capacity={("a", j): 1 for j in range(1, k + 1)},
         vertex_prefs={(v, j): WeakOrder((("a",),)) for v in ("s", "t") for j in range(1, k + 1)},
         arc_prefs={"a": order},
+    )
+
+
+def _strict(ids) -> WeakOrder:
+    return WeakOrder(tuple((i,) for i in ids))
+
+
+def odd_cycles_instance(seed: int, count: int = 3, cross: int = 2) -> HypergraphInstance:
+    """Disjoint copies of the triangle plus `cross` random edges between them.
+
+    Every triangle alone has no stable matching at capacity 1, so Scarf
+    returns halves and iterative rounding has work to do.  Cross edges are
+    inserted at random positions of both end vertices' lists.
+    """
+    rng = random.Random(seed)
+    vertices, edges, prefs = [], [], {}
+    for t in range(count):
+        a, b, c = f"t{t}a", f"t{t}b", f"t{t}c"
+        vertices += [a, b, c]
+        edges += [HyperEdge(f"t{t}ab", (a, b)), HyperEdge(f"t{t}bc", (b, c)), HyperEdge(f"t{t}ca", (c, a))]
+        prefs[a], prefs[b], prefs[c] = [f"t{t}ab", f"t{t}ca"], [f"t{t}bc", f"t{t}ab"], [f"t{t}ca", f"t{t}bc"]
+    pairs = set()
+    while len(pairs) < cross:
+        u, v = sorted(rng.sample(vertices, 2))
+        if u[:-1] != v[:-1]:
+            pairs.add((u, v))
+    for i, (u, v) in enumerate(sorted(pairs)):
+        edges.append(HyperEdge(f"x{i}", (u, v)))
+        for w in (u, v):
+            prefs[w].insert(rng.randrange(len(prefs[w]) + 1), f"x{i}")
+    return HypergraphInstance(
+        tuple(vertices), tuple(edges), {v: 1 for v in vertices}, {v: _strict(prefs[v]) for v in vertices}
+    )
+
+
+def uniform3_instance(seed: int, num_vertices: int = 8, num_edges: int = 10) -> HypergraphInstance:
+    """Random 3-uniform hypergraph with strict random preferences, capacity 1."""
+    rng = random.Random(seed)
+    vertices = tuple(f"v{i}" for i in range(num_vertices))
+    members: list[tuple[str, ...]] = []
+    while len(members) < num_edges:
+        key = tuple(sorted(rng.sample(vertices, 3)))
+        if key not in members:
+            members.append(key)
+    edges = tuple(HyperEdge(f"h{i}", key) for i, key in enumerate(members))
+    prefs = {v: [e.id for e in edges if v in e.vertices] for v in vertices}
+    for v in vertices:
+        rng.shuffle(prefs[v])
+    return HypergraphInstance(vertices, edges, {v: 1 for v in vertices}, {v: _strict(prefs[v]) for v in vertices})
+
+
+def overlapping_sets_instance() -> CacqInstance:
+    """Overlapping quota sets whose fractional stable point is not integral."""
+    edges = tuple(
+        CacqEdge(f"{s}:{c}", s, c)
+        for s, c in [
+            ("s0", "c0"), ("s0", "c1"), ("s1", "c2"), ("s1", "c3"),
+            ("s2", "c0"), ("s2", "c2"), ("s2", "c3"),
+        ]
+    )
+    return CacqInstance(
+        students=("s0", "s1", "s2"),
+        colleges=("c0", "c1", "c2", "c3"),
+        edges=edges,
+        college_quotas={"c0": 1, "c1": 1, "c2": 2, "c3": 1},
+        college_prefs={
+            "c0": WeakOrder((("s2",), ("s0",))),
+            "c1": WeakOrder((("s0",),)),
+            "c2": WeakOrder((("s2",), ("s1",))),
+            "c3": WeakOrder((("s1",), ("s2",))),
+        },
+        sets=(
+            CollegeSet("F0", ("c0", "c1", "c3"), 2, WeakOrder((("s1",), ("s2",), ("s0",)))),
+            CollegeSet("F1", ("c0", "c1", "c2"), 2, WeakOrder((("s2",), ("s0",), ("s1",)))),
+        ),
+        student_prefs={
+            "s0": WeakOrder((("s0:c1", "s0:c0"),)),
+            "s1": WeakOrder((("s1:c2", "s1:c3"),)),
+            "s2": WeakOrder((("s2:c0",), ("s2:c3", "s2:c2"))),
+        },
+    )
+
+
+def _linear_extension(lists, students) -> list[str]:
+    """Every student of `lists`, keeping each list's order; lower index first on ties."""
+    pending = [list(order) for order in lists]
+    placed = []
+    while any(pending):
+        heads = {order[0] for order in pending if order}
+        s = min((s for s in heads if all(s not in order[1:] for order in pending)), key=students.index)
+        placed.append(s)
+        pending = [[t for t in order if t != s] for order in pending]
+    return placed
+
+
+def cyclic_sets_cacq(seed: int, num_students: int = 5) -> CacqInstance:
+    """Three colleges under the non-laminar faculty sets {c0,c1}, {c1,c2}, {c0,c2}.
+
+    With each college's own singleton set every college lies in three sets
+    (L = 3).  College lists are drawn at random and redrawn until every two
+    agree on their shared students, so each set's master list can be a
+    linear extension of its members' lists.  Non-laminar quota sets need
+    not admit a stable matching, so some seeds make the rounding run.
+    """
+    rng = random.Random(seed)
+    colleges = ("c0", "c1", "c2")
+    pairs = (("c0", "c1"), ("c1", "c2"), ("c0", "c2"))
+    students = tuple(f"s{i}" for i in range(num_students))
+    while True:
+        applied = {s: [c for c in colleges if rng.random() < 0.6] for s in students}
+        lists = {c: [s for s in students if c in applied[s]] for c in colleges}
+        for c in colleges:
+            rng.shuffle(lists[c])
+        if all(
+            [s for s in lists[a] if s in lists[b]] == [s for s in lists[b] if s in lists[a]] for a, b in pairs
+        ):
+            break
+    sets = tuple(
+        CollegeSet(f"F{t}", members, rng.randint(1, 2), _strict(_linear_extension([lists[c] for c in members], students)))
+        for t, members in enumerate(pairs)
+    )
+    student_prefs = {}
+    for s in students:
+        ids = [f"{s}:{c}" for c in applied[s]]
+        rng.shuffle(ids)
+        student_prefs[s] = _strict(ids)
+    return CacqInstance(
+        students=students,
+        colleges=colleges,
+        edges=tuple(CacqEdge(f"{s}:{c}", s, c) for s in students for c in applied[s]),
+        college_quotas={c: rng.randint(1, 2) for c in colleges},
+        college_prefs={c: _strict(lists[c]) for c in colleges},
+        sets=sets,
+        student_prefs=student_prefs,
     )
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import deferred_acceptance, two_by_two_cacq
+from conftest import deferred_acceptance, overlapping_sets_instance, two_by_two_cacq
 from nearstable.cacq import (
     break_cacq_ties,
     build_cacq_scarf,
@@ -102,7 +102,8 @@ def test_build_two_by_two_counts(cacq_2x2):
 def test_set_row_order_breaks_same_student_by_student_preference(cacq_2x2):
     strict = _prep(cacq_2x2)
     build = build_cacq_scarf(strict)
-    common_row = build.set_rows["common"]
+    # set rows come first, in declared order, one per set with positive quota
+    common_row = [cs.id for cs in strict.sets if cs.quota > 0].index("common")
     order = build.problem.row_orders[common_row]
     ids = [build.columns[c] for c in order]
     # master: s1 before s2; within a student, that student's own ranking
@@ -297,38 +298,6 @@ def test_solve_output_in_enumerated_stable_set(cacq_2x2):
     stable = enumerate_stable(norm, result.revision.revised)
     chosen = {eid for eid, v in result.matching.items() if v == 1}
     assert any({e for e, v in m.items() if v} == chosen for m in stable)
-
-
-def overlapping_sets_instance() -> CacqInstance:
-    """Overlapping quota sets whose fractional stable point is not integral."""
-    edges = tuple(
-        CacqEdge(f"{s}:{c}", s, c)
-        for s, c in [
-            ("s0", "c0"), ("s0", "c1"), ("s1", "c2"), ("s1", "c3"),
-            ("s2", "c0"), ("s2", "c2"), ("s2", "c3"),
-        ]
-    )
-    return CacqInstance(
-        students=("s0", "s1", "s2"),
-        colleges=("c0", "c1", "c2", "c3"),
-        edges=edges,
-        college_quotas={"c0": 1, "c1": 1, "c2": 2, "c3": 1},
-        college_prefs={
-            "c0": WeakOrder((("s2",), ("s0",))),
-            "c1": WeakOrder((("s0",),)),
-            "c2": WeakOrder((("s2",), ("s1",))),
-            "c3": WeakOrder((("s1",), ("s2",))),
-        },
-        sets=(
-            CollegeSet("F0", ("c0", "c1", "c3"), 2, WeakOrder((("s1",), ("s2",), ("s0",)))),
-            CollegeSet("F1", ("c0", "c1", "c2"), 2, WeakOrder((("s2",), ("s0",), ("s1",)))),
-        ),
-        student_prefs={
-            "s0": WeakOrder((("s0:c1", "s0:c0"),)),
-            "s1": WeakOrder((("s1:c2", "s1:c3"),)),
-            "s2": WeakOrder((("s2:c0",), ("s2:c3", "s2:c2"))),
-        },
-    )
 
 
 def test_solve_overlapping_sets_exercises_rounding():

@@ -88,6 +88,18 @@ def test_gen_smf_round_verify_chain(tmp_path, capsys):
     assert run(capsys, "verify", str(inst), str(sol))[0] == 0
 
 
+def test_gen_out_of_range_field_is_input_error(capsys):
+    for argv, field in [
+        (("smf", "--commodities", "0"), "commodities"),
+        (("shm", "--max-edges", "0"), "max_edges"),
+        (("shm", "--max-vertices", "30", "--max-edges", "20"), "max_edges"),
+        (("fixtures", "--tie-permille", "-1"), "tie_permille"),
+    ]:
+        code, out, err = run(capsys, "gen", *argv, "--seed", "3")
+        assert code == 3 and out == ""
+        assert err.startswith("input error: generator field " + field)
+
+
 def test_round_requires_embedded_flow(tmp_path, capsys):
     inst = tmp_path / "smf.json"
     assert run(capsys, "gen", "smf", "--seed", "3", "--commodities", "1", "-o", str(inst))[0] == 0

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from nearstable.errors import PreconditionError
+from nearstable.errors import InternalError, PreconditionError
 from nearstable.polytope import (
     LinearRow,
     LinearSystem,
@@ -93,6 +93,67 @@ def test_exact_linear_algebra_helpers():
     assert w is not None and any(v != 0 for v in w) and w[0] + w[1] == 0
     assert nullspace_vector([[F(1), F(0)], [F(0), F(1)]], 2) is None
     assert solve_square([[F(2), F(0)], [F(0), F(4)]], [F(1), F(1)]) == [F(1, 2), F(1, 4)]
+
+
+def _fraction_elimination(vectors, dim):
+    """Rank and null vector by Gaussian elimination over Fraction, kept as an independent oracle.
+
+    Rows are reduced in input order; the null vector has a 1 in the
+    lowest-index column without a pivot and is back-substituted in reverse
+    order of insertion (None at full column rank).
+    """
+    basis = []
+    for vec in vectors:
+        row = [F(v) for v in vec]
+        for b in basis:
+            lead = next(i for i, x in enumerate(b) if x != 0)
+            if row[lead] != 0:
+                factor = row[lead] / b[lead]
+                row = [r - factor * bb for r, bb in zip(row, b)]
+        if any(x != 0 for x in row):
+            basis.append(row)
+    if len(basis) >= dim:
+        return len(basis), None
+    leads = [next(i for i, x in enumerate(b) if x != 0) for b in basis]
+    w = [F(0)] * dim
+    w[next(i for i in range(dim) if i not in leads)] = F(1)
+    for b, lead in reversed(list(zip(basis, leads))):
+        w[lead] = -sum((b[i] * w[i] for i in range(dim) if i != lead), F(0)) / b[lead]
+    return len(basis), w
+
+
+def _random_rational_rows(rng, width, rank, count):
+    gens = [[F(rng.randint(-4, 4), rng.choice([1, 2, 3, 5, 7])) for _ in range(width)] for _ in range(rank)]
+    return [
+        [sum((F(rng.randint(-2, 2), rng.choice([1, 3, 4])) * g[j] for g in gens), F(0)) for j in range(width)]
+        for _ in range(count)
+    ]
+
+
+def test_kernel_against_fraction_elimination():
+    rng = random.Random(2024)
+    for trial in range(400):
+        width = rng.randint(1, 6)
+        rows = _random_rational_rows(rng, width, rng.randint(0, width), rng.randint(0, 7))
+        rank, w = _fraction_elimination(rows, width)
+        assert exact_rank(rows) == rank, (trial, rows)
+        assert nullspace_vector(rows, width) == w, (trial, rows)
+    singular = 0
+    for trial in range(300):
+        n = rng.randint(1, 5)
+        matrix = _random_rational_rows(rng, n, n if rng.random() < 0.7 else rng.randint(0, n - 1), n)
+        rhs = [F(rng.randint(-5, 5), rng.choice([1, 2, 9])) for _ in range(n)]
+        if _fraction_elimination(matrix, n)[0] < n:
+            singular += 1
+            with pytest.raises(InternalError):
+                solve_square(matrix, rhs)
+            continue
+        # the solution is the null vector of [M | -rhs] scaled to last coordinate 1
+        _, w = _fraction_elimination([row + [-b] for row, b in zip(matrix, rhs)], n + 1)
+        x = solve_square(matrix, rhs)
+        assert x == [v / w[n] for v in w[:n]], (trial, matrix, rhs)
+        assert [sum((a * v for a, v in zip(row, x)), F(0)) for row in matrix] == rhs
+    assert 30 <= singular <= 270
 
 
 def _brute_vertices(sys_: LinearSystem):

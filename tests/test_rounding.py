@@ -1,0 +1,87 @@
+"""Iterative rounding on instances where Scarf's point is fractional.
+
+The digests pin every trace line (pivot and `round step` lines), the
+`rounding_steps` records and the canonical certificate, so a change to the
+rounding path or to what it certifies shows up here.
+"""
+
+import hashlib
+
+import pytest
+
+from conftest import (
+    cyclic_sets_cacq,
+    odd_cycles_instance,
+    overlapping_sets_instance,
+    triangle_instance,
+    uniform3_instance,
+)
+from nearstable import fileformat as ff
+from nearstable.cacq import solve_cacq
+from nearstable.model import normalize_cacq, validate
+from nearstable.shm import solve_shm
+
+CASES = {
+    "triangle": triangle_instance,
+    "odd_cycles[0]": lambda: odd_cycles_instance(0),
+    "odd_cycles[3]": lambda: odd_cycles_instance(3),
+    "uniform3[5]": lambda: uniform3_instance(5),
+    "uniform3[47]": lambda: uniform3_instance(47),
+    "uniform3[77]": lambda: uniform3_instance(77),
+    "overlapping_sets": overlapping_sets_instance,
+    "cyclic_sets[42]": lambda: cyclic_sets_cacq(42),
+    "cyclic_sets[48]": lambda: cyclic_sets_cacq(48),
+    "cyclic_sets[51]": lambda: cyclic_sets_cacq(51),
+}
+
+PINNED = {
+    "triangle": "e3235d809d961966e15a3e06fee38302a1db2ec74f34cb249610fcc29b2d89cf",
+    "odd_cycles[0]": "538720e22271b2139ec9bc211969e73cfa095b2d1d3bddfa490109a42c0c35b8",
+    "odd_cycles[3]": "eae806fb14c76a3a61680972071ccc83df5f5bc58631233a389bedebfd88bcbd",
+    "uniform3[5]": "0ededc88408e52a9ed7910ce190c2f002c6ac3906bbeec3125f3b3acbb75675c",
+    "uniform3[47]": "532e322cc5fbfaf810a7fa1ab19e9d7ad9573115bfdcd0d091e3251839f4d228",
+    "uniform3[77]": "1c9bf2a3695db100f4903c2c0137090e98d369efdf49c8e67d36cd3f8d0bfdf5",
+    "overlapping_sets": "36cd01caa0bb69d52d0e4499f1dd5fa1527dc81481e5ea3a34b839d0af3f26b2",
+    "cyclic_sets[42]": "3479c3bd386be4d2dbe29f709cef63a4d9549b775cd18543849e11d4afe91e78",
+    "cyclic_sets[48]": "5771c85d0b9b94b993e42db3d0dc366ec7b3f0e05333b9eda30463a7d16336db",
+    "cyclic_sets[51]": "d6eb367dadf5c281f664c71454a245164a5284489d1ee5a2d8bd40185685a0d7",
+}
+
+
+def _solve(name):
+    inst = CASES[name]()
+    assert validate(inst) == []
+    solve = solve_cacq if name.startswith(("overlapping", "cyclic")) else solve_shm
+    lines = []
+    return inst, solve(inst, trace=lines.append), lines
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_rounding_path_pinned(name):
+    _, result, lines = _solve(name)
+    assert result.rounding_steps
+    assert sum(line.startswith("round step ") for line in lines) == len(result.rounding_steps)
+    digest = hashlib.sha256()
+    for line in lines:
+        digest.update(line.encode("utf-8") + b"\n")
+    digest.update(ff.canonical_dumps(result.rounding_steps).encode("utf-8"))
+    digest.update(ff.canonical_dumps(result.certificate).encode("utf-8"))
+    assert digest.hexdigest() == PINNED[name]
+
+
+@pytest.mark.parametrize("seed", [42, 48, 49, 51])
+def test_cyclic_sets_round_within_bound(seed):
+    inst = cyclic_sets_cacq(seed)
+    ell = normalize_cacq(inst).max_memberships
+    assert ell == 3
+    result = solve_cacq(inst)
+    assert 4 <= len(result.rounding_steps) <= 5
+    assert any(v.denominator > 1 for v in result.fractional.values())
+    assert result.revision.max_deviation() <= 2 * ell - 1
+    assert result.certificate["verifier"]["stable"]
+
+
+def test_uniform3_deviation_reaches_bound():
+    """The pointwise bound L - 1 = 2 is attained, so it is not checked vacuously."""
+    result = solve_shm(uniform3_instance(77))
+    assert result.revision.max_deviation() == 2 == result.certificate["bounds"]["max_allowed"]

@@ -144,7 +144,8 @@ def test_build_prefixes_zero_capacity_vertices():
     build = build_shm_scarf(inst)
     assert build.fixed_zero == ("e0",)
     assert build.columns == ("e1",)
-    assert "a" not in build.vertex_rows
+    # only b's vertex row and the identity row of e1 remain
+    assert build.problem.rows == ((F(1),), (F(1),))
 
 
 def test_dominating_iff_stable_on_sampled_vectors():

@@ -19,7 +19,7 @@ from typing import Mapping
 from .errors import InputError, InternalError, PreconditionError
 from .model import CacqInstance, CapacityRevision, CollegeSet, normalize_cacq, require_valid
 from .orders import break_ties
-from .polytope import ONE, ZERO, LinearRow, _indicator, iterative_rounding
+from .polytope import ONE, ZERO, LinearRow, iterative_rounding, row_dot
 from .scarf import (
     DEFAULT_PIVOT_BUDGET,
     ScarfBuild,
@@ -109,7 +109,7 @@ def pinned_students(inst: CacqInstance, x_star: Mapping) -> tuple[str, ...]:
     return tuple(s for s in inst.students if loads[s] == 1)
 
 
-def _cacq_rule(sets, columns, ell, z, fractional, active):
+def _cacq_rule(sets, rows, ell, z, fractional, active):
     """First non-tight set row with fractional mass <= 2L - 1, else first tight one with mass <= 2L.
 
     Tightness is taken at `z`.  Rows i < len(sets) are the set rows; the
@@ -118,9 +118,8 @@ def _cacq_rule(sets, columns, ell, z, fractional, active):
     for tight, allowance in ((False, 2 * ell - 1), (True, 2 * ell)):
         for i in active:
             if i < len(sets):
-                cols = columns[i]
-                load = sum(z[j] for j in cols)
-                mass = sum(1 for j in cols if j in fractional)
+                load = row_dot(rows[i].coeffs, z)
+                mass = sum(1 for j, _ in rows[i].coeffs if j in fractional)
                 if (load == sets[i].quota) == tight and mass <= allowance:
                     kind = "tight" if tight else "non-tight"
                     return i, sets[i].id, kind, f"{kind} set {sets[i].id}"
@@ -139,19 +138,21 @@ def round_cacq(inst: CacqInstance, x_star: Mapping, trace: TraceSink | None = No
     edges = [e.id for e in inst.edges]
     pinned = pinned_students(inst, x_star)
     sets = [cs for cs in inst.sets if cs.quota > 0]
-    columns = [{j for j, e in enumerate(inst.edges) if e.college in cs.colleges} for cs in sets]
-    student_columns = [{j for j, e in enumerate(inst.edges) if e.student == s} for s in inst.students]
     rows = [
-        LinearRow(_indicator(cols, len(edges)), "le", Fraction(cs.quota))
-        for cs, cols in zip(sets, columns)
+        LinearRow(
+            tuple((j, ONE) for j, e in enumerate(inst.edges) if e.college in cs.colleges), "le", Fraction(cs.quota)
+        )
+        for cs in sets
     ] + [
-        LinearRow(_indicator(cols, len(edges)), "eq" if s in pinned else "le", ONE)
-        for s, cols in zip(inst.students, student_columns)
+        LinearRow(
+            tuple((j, ONE) for j, e in enumerate(inst.edges) if e.student == s), "eq" if s in pinned else "le", ONE
+        )
+        for s in inst.students
     ]
     z, steps = iterative_rounding(
         [Fraction(x_star[eid]) for eid in edges],
         rows,
-        partial(_cacq_rule, sets, columns, inst.max_memberships),
+        partial(_cacq_rule, sets, rows, inst.max_memberships),
         upper=None,
         trace=trace,
     )
@@ -231,7 +232,7 @@ def verify_cacq(inst: CacqInstance, quotas: Mapping, matching: Mapping) -> CacqR
         )
         for cs in inst.sets
     }
-    set_by_id = {cs.id: cs for cs in inst.sets}
+    master_ranks = {cs.id: cs.master.ranks() for cs in inst.sets}
     blocking = []
     for e in inst.edges:
         rank = student_ranks[e.student]
@@ -243,10 +244,9 @@ def verify_cacq(inst: CacqInstance, quotas: Mapping, matching: Mapping) -> CacqR
             continue
         all_sets_open = True
         for set_id in sets_of_college[e.college]:
-            cs = set_by_id[set_id]
             if set_loads[set_id] < quotas[set_id]:
                 continue
-            master_rank = cs.master.ranks()
+            master_rank = master_ranks[set_id]
             if any(
                 master_rank[e.student] < master_rank[s2]
                 for s2 in assigned_students[set_id]

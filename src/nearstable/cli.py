@@ -9,6 +9,7 @@ was produced), 3 input error, 4 resource limit exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -256,7 +257,9 @@ def _cmd_oracle(args) -> int:
     return EXIT_PASS
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every `main` call."""
     parser = argparse.ArgumentParser(prog="nearstable", description=__doc__)
     parser.add_argument("--format", choices=["json", "summary"], default="json")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -301,8 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except UnstableInputError as exc:

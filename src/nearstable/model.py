@@ -113,13 +113,6 @@ class CacqInstance:
                 out[e.student].append(e.id)
         return out
 
-    def college_edges(self) -> dict[Id, list[Id]]:
-        out: dict[Id, list[Id]] = {c: [] for c in self.colleges}
-        for e in self.edges:
-            if e.college in out:
-                out[e.college].append(e.id)
-        return out
-
 
 @dataclass(frozen=True)
 class Arc:

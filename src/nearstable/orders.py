@@ -56,9 +56,6 @@ class WeakOrder:
         r = self.ranks()
         return r[a] <= r[b]
 
-    def as_list(self) -> list[list[Alt]]:
-        return [list(group) for group in self.tie_groups]
-
 
 def strict_order(alts: Iterable[Alt]) -> WeakOrder:
     """Build a strict order from best to worst."""

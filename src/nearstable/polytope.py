@@ -1,6 +1,11 @@
 """Exact rational linear algebra, linear programming and iterative rounding.
 
-All elimination runs through one integer kernel, `_echelon`: rows are
+A row is a tuple of (column, nonzero Fraction) pairs in increasing column
+order; the Scarf matrix and the LP's constraints both use it.  `row_dot`
+evaluates one at a point, and `sparse` is the one adapter from a dense
+coefficient vector.
+
+All elimination runs through one integer kernel, `_echelon`: dense rows are
 scaled to integers, reduced in input order without division and divided
 by their content.  `exact_rank`, `nullspace_vector`, `solve_square` and the
 active-set start of the simplex are each a reading of its output, so they
@@ -9,7 +14,10 @@ agree with one another and with Fraction elimination in the same order.
 Systems are given as equality/inequality rows plus per-variable bounds and a
 set of variables fixed to constants.  `extreme_point` walks from a feasible
 warm-start point to a vertex, optionally maximizing a linear objective with
-a Bland-rule active-set simplex; every number is a `fractions.Fraction`, so
+a Bland-rule active-set simplex.  After the fixed variables are substituted
+out, the constraints form one list in Bland order (equalities, `<=` rows,
+lower bounds as `-x_i <= -lo_i`, finite upper bounds), and a constraint's
+index is its tie-break key.  Every number is a `fractions.Fraction`, so
 results are exact and deterministic.  `rank_of_tight_rows` certifies
 vertexhood: a feasible point is a vertex iff the rows tight at it (bound
 rows included) have rank equal to the number of unfixed variables.
@@ -37,12 +45,16 @@ def _is_integral(value: Fraction) -> bool:
     return value.denominator == 1
 
 
-def _indicator(columns: Iterable[int], n: int) -> tuple[Fraction, ...]:
-    """Coefficient 1 on `columns` and 0 on the other of n variables."""
-    coeffs = [ZERO] * n
-    for j in columns:
-        coeffs[j] = ONE
-    return tuple(coeffs)
+Row = tuple[tuple[int, Fraction], ...]
+
+
+def sparse(dense: Iterable) -> Row:
+    """The row of a dense coefficient vector: its nonzero entries by column."""
+    return tuple((j, Fraction(v)) for j, v in enumerate(dense) if v != 0)
+
+
+def row_dot(row: Row, x: Sequence[Fraction]) -> Fraction:
+    return sum((c * x[j] for j, c in row), ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +142,7 @@ def solve_square(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) 
 
 @dataclass(frozen=True)
 class LinearRow:
-    coeffs: tuple[Fraction, ...]
+    coeffs: Row
     relation: str  # "le" or "eq"
     rhs: Fraction
 
@@ -152,8 +164,8 @@ class LinearSystem:
 
     def __post_init__(self):
         for row in self.rows:
-            if len(row.coeffs) != self.num_vars:
-                raise PreconditionError("row length does not match num_vars")
+            if any(not 0 <= j < self.num_vars for j, _ in row.coeffs):
+                raise PreconditionError("row column outside 0..num_vars-1")
             if row.relation not in ("le", "eq"):
                 raise PreconditionError(f"unknown relation {row.relation!r}")
         for j, value in self.fixed.items():
@@ -174,7 +186,7 @@ def is_feasible(sys: LinearSystem, x: Sequence[Fraction]) -> bool:
         if sys.upper[j] is not None and x[j] > sys.upper[j]:
             return False
     for row in sys.rows:
-        lhs = sum((c * x[j] for j, c in enumerate(row.coeffs) if c != 0), ZERO)
+        lhs = row_dot(row.coeffs, x)
         if row.relation == "eq" and lhs != row.rhs:
             return False
         if row.relation == "le" and lhs > row.rhs:
@@ -183,20 +195,29 @@ def is_feasible(sys: LinearSystem, x: Sequence[Fraction]) -> bool:
 
 
 class _Reduced:
-    """System restricted to the unfixed variables, with rows rewritten."""
+    """System restricted to the unfixed variables, as `<=`/`==` constraints.
+
+    `constraints` holds (row, rhs) pairs over the unfixed variables in Bland
+    order: the `num_eq` equalities, then the `<=` rows, then each lower
+    bound as `-x_i <= -lo_i`, then each finite upper bound.  The index of a
+    constraint is its tie-break key; only the equalities are never dropped
+    from an active set.
+    """
 
     def __init__(self, sys: LinearSystem):
         self.sys = sys
         self.free = [j for j in range(sys.num_vars) if j not in sys.fixed]
-        self.pos = {j: i for i, j in enumerate(self.free)}
+        pos = {j: i for i, j in enumerate(self.free)}
         self.n = len(self.free)
-        self.rows = []  # (vector, relation, rhs) over free vars
+        eq, le = [], []
         for row in sys.rows:
-            vec = [row.coeffs[j] for j in self.free]
-            shift = sum((row.coeffs[j] * sys.fixed[j] for j in sys.fixed if row.coeffs[j] != 0), ZERO)
-            self.rows.append((vec, row.relation, row.rhs - shift))
-        self.lower = [sys.lower[j] for j in self.free]
-        self.upper = [sys.upper[j] for j in self.free]
+            reduced = tuple((pos[j], c) for j, c in row.coeffs if j in pos)
+            shift = sum((c * sys.fixed[j] for j, c in row.coeffs if j not in pos), ZERO)
+            (eq if row.relation == "eq" else le).append((reduced, row.rhs - shift))
+        self.num_eq = len(eq)
+        lower = [(((i, -ONE),), -sys.lower[j]) for i, j in enumerate(self.free)]
+        upper = [(((i, ONE),), sys.upper[j]) for i, j in enumerate(self.free) if sys.upper[j] is not None]
+        self.constraints = eq + le + lower + upper
 
     def full_point(self, x: list[Fraction]) -> tuple[Fraction, ...]:
         out = [ZERO] * self.sys.num_vars
@@ -210,97 +231,52 @@ class _Reduced:
         """A point or objective restricted to the unfixed variables."""
         return [Fraction(vector[j]) for j in self.free]
 
-    # Constraint descriptors: ("le", row index), ("lo", var index),
-    # ("up", var index).  Equality rows are handled separately since they
-    # are never dropped from the active set.
-    def descriptor_vector(self, desc) -> list[Fraction]:
-        kind, idx = desc
-        if kind == "le" or kind == "eq":
-            return list(self.rows[idx][0])
+    def dense(self, k: int) -> list[Fraction]:
+        """Constraint k's row as a dense vector for `_echelon`."""
         vec = [ZERO] * self.n
-        if kind == "lo":
-            vec[idx] = -ONE
-        else:
-            vec[idx] = ONE
+        for i, c in self.constraints[k][0]:
+            vec[i] = c
         return vec
 
-    def descriptor_slack(self, desc, x: list[Fraction]) -> Fraction:
-        """Slack of the constraint in '<=' orientation (0 means tight)."""
-        kind, idx = desc
-        if kind == "le" or kind == "eq":
-            vec, _, rhs = self.rows[idx]
-            return rhs - sum((c * x[i] for i, c in enumerate(vec) if c != 0), ZERO)
-        if kind == "lo":
-            return x[idx] - self.lower[idx]
-        return self.upper[idx] - x[idx]
+    def slack(self, k: int, x: list[Fraction]) -> Fraction:
+        """Slack of constraint k at x (0 means tight)."""
+        row, rhs = self.constraints[k]
+        return rhs - row_dot(row, x)
 
-    def inequality_descriptors(self):
-        out = []
-        for i, (_, rel, _) in enumerate(self.rows):
-            if rel == "le":
-                out.append(("le", i))
-        for j in range(self.n):
-            out.append(("lo", j))
-        for j in range(self.n):
-            if self.upper[j] is not None:
-                out.append(("up", j))
-        return out
-
-    def equality_descriptors(self):
-        return [("eq", i) for i, (_, rel, _) in enumerate(self.rows) if rel == "eq"]
-
-
-_DESC_ORDER = {"eq": 0, "le": 1, "lo": 2, "up": 3}
-
-
-def _desc_key(desc):
-    return (_DESC_ORDER[desc[0]], desc[1])
-
-
-def _tight_descriptors(red: _Reduced, x: list[Fraction]):
-    out = list(red.equality_descriptors())
-    for desc in red.inequality_descriptors():
-        if red.descriptor_slack(desc, x) == 0:
-            out.append(desc)
-    return out
-
-
-def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    return sum((x * y for x, y in zip(a, b) if x != 0), ZERO)
+    def tight(self, x: list[Fraction]) -> list[int]:
+        """Every equality, then the inequalities tight at x, in Bland order."""
+        return [k for k in range(len(self.constraints)) if k < self.num_eq or self.slack(k, x) == 0]
 
 
 def _max_step(red: _Reduced, x: list[Fraction], d: list[Fraction], skip: set):
     """Largest feasible step along d and the limiting constraint.
 
-    Returns (t, descriptor) with t = None when the ray is unbounded.
-    Ties are broken toward the smallest descriptor key so pivoting is
-    deterministic.
+    Returns (t, constraint index) with t = None when the ray is unbounded.
+    Inequalities are scanned in Bland order and only a strictly smaller
+    step replaces the best, so ties go to the smallest index.
     """
     best_t = None
-    best_desc = None
-    for desc in red.inequality_descriptors():
-        if desc in skip:
+    best_k = None
+    for k in range(red.num_eq, len(red.constraints)):
+        if k in skip:
             continue
-        vec = red.descriptor_vector(desc)
-        speed = _dot(vec, d)
+        speed = row_dot(red.constraints[k][0], d)
         if speed <= 0:
             continue
-        t = red.descriptor_slack(desc, x) / speed
-        if best_t is None or t < best_t or (t == best_t and _desc_key(desc) < _desc_key(best_desc)):
+        t = red.slack(k, x) / speed
+        if best_t is None or t < best_t:
             best_t = t
-            best_desc = desc
-    return best_t, best_desc
+            best_k = k
+    return best_t, best_k
 
 
-def _purify(red: _Reduced, x: list[Fraction], objective: list[Fraction] | None) -> list[Fraction]:
-    """Drive x to a vertex without ever decreasing the objective."""
+def _purify(red: _Reduced, x: list[Fraction], gain: Row) -> list[Fraction]:
+    """Drive x to a vertex without ever decreasing the objective row `gain`."""
     while True:
-        tight = _tight_descriptors(red, x)
-        vectors = [red.descriptor_vector(d) for d in tight]
-        w = nullspace_vector(vectors, red.n)
+        w = nullspace_vector([red.dense(k) for k in red.tight(x)], red.n)
         if w is None:
             return x
-        if objective is not None and _dot(objective, w) < 0:
+        if row_dot(gain, w) < 0:
             w = [-c for c in w]
         t, _ = _max_step(red, x, w, skip=set())
         if t is None:
@@ -313,14 +289,14 @@ def _purify(red: _Reduced, x: list[Fraction], objective: list[Fraction] | None) 
         x = [xi + t * wi for xi, wi in zip(x, w)]
 
 
-def _initial_active_set(red: _Reduced, x: list[Fraction]):
-    """A maximal independent subset of the rows tight at a vertex.
+def _initial_active_set(red: _Reduced, x: list[Fraction]) -> list[int]:
+    """A maximal independent subset of the constraints tight at a vertex.
 
     Equality rows are added first so they are always represented; dependent
     equality rows are implied by the chosen ones and stay satisfied.
     """
-    tight = _tight_descriptors(red, x)
-    chosen = [tight[index] for index, _, _ in _echelon(red.descriptor_vector(d) for d in tight)]
+    tight = red.tight(x)
+    chosen = [tight[index] for index, _, _ in _echelon(red.dense(k) for k in tight)]
     if len(chosen) != red.n:
         raise InternalError("active-set start point is not a vertex")
     return chosen
@@ -329,16 +305,14 @@ def _initial_active_set(red: _Reduced, x: list[Fraction]):
 def _simplex(red: _Reduced, x: list[Fraction], objective: list[Fraction]) -> list[Fraction]:
     """Maximize objective over the reduced system starting at vertex x."""
     active = _initial_active_set(red, x)
-    budget = _SIMPLEX_BUDGET_FACTOR * (red.n + len(red.rows) + 1)
+    budget = _SIMPLEX_BUDGET_FACTOR * (red.n + len(red.sys.rows) + 1)
     for _ in range(budget):
-        matrix = [red.descriptor_vector(d) for d in active]
+        matrix = [red.dense(k) for k in active]
         transposed = [[matrix[r][c] for r in range(red.n)] for c in range(red.n)]
         lam = solve_square(transposed, objective)
         leaving = None
-        for pos, desc in enumerate(active):
-            if desc[0] == "eq":
-                continue
-            if lam[pos] < 0 and (leaving is None or _desc_key(desc) < _desc_key(active[leaving])):
+        for pos, k in enumerate(active):
+            if k >= red.num_eq and lam[pos] < 0 and (leaving is None or k < active[leaving]):
                 leaving = pos
         if leaving is None:
             return x
@@ -371,9 +345,9 @@ def extreme_point(
     x = red.reduce(warm)
     if red.n == 0:
         return red.full_point(x)
-    obj = red.reduce(objective) if objective is not None else None
-    x = _purify(red, x, obj)
-    if obj is not None and any(c != 0 for c in obj):
+    obj = red.reduce(objective) if objective is not None else [ZERO] * red.n
+    x = _purify(red, x, sparse(obj))
+    if any(obj):
         x = _simplex(red, x, obj)
     result = red.full_point(x)
     if not is_feasible(sys, result):
@@ -403,6 +377,7 @@ def iterative_rounding(
     z = [Fraction(v) for v in start]
     active = list(range(len(rows)))
     steps = []
+    gain = sparse(objective) if objective is not None else ()
     while True:
         fractional = {j for j, v in enumerate(z) if not _is_integral(v)}
         if not fractional:
@@ -425,8 +400,8 @@ def iterative_rounding(
         step = {"deleted": deleted, "kind": kind, "fractional": len(fractional)}
         line = f"round step {len(steps) + 1}: delete {label}, fractional={len(fractional)}"
         if objective is not None:
-            value = _dot(objective, z)
-            if value < _dot(objective, previous):
+            value = row_dot(gain, z)
+            if value < row_dot(gain, previous):
                 raise InternalError("rounding objective decreased")
             step["objective"] = str(value)
             line += f", objective={value}"
@@ -442,9 +417,7 @@ def rank_of_tight_rows(sys: LinearSystem, x: Sequence[Fraction]) -> int:
     scores exactly the number of unfixed variables.
     """
     red = _Reduced(sys)
-    xr = red.reduce(x)
-    vectors = [red.descriptor_vector(d) for d in _tight_descriptors(red, xr)]
-    return exact_rank(vectors)
+    return exact_rank(red.dense(k) for k in red.tight(red.reduce(x)))
 
 
 def is_vertex(sys: LinearSystem, x: Sequence[Fraction]) -> bool:

@@ -1,10 +1,12 @@
 """Dominance solver for Scarf-type problems via complementary pivoting.
 
-A problem is a nonnegative rational matrix Q (every column nonzero), a
-positive bound vector d, and one strict order per row over that row's
-nonzero columns.  `solve_scarf` returns an extreme point of
-{Qx <= d, x >= 0} together with, for every column, a row that dominates it:
-the row is tight at x and weakly prefers every positively-used column.
+A problem is a nonnegative rational matrix Q over `num_cols` columns, each
+nonzero in some row, given as sparse rows (`polytope.Row`: (column,
+positive Fraction) pairs in increasing column order); a positive bound
+vector d; and one strict order per row over that row's columns.
+`solve_scarf` returns an extreme point of {Qx <= d, x >= 0} together with,
+for every column, a row that dominates it: the row is tight at x and
+weakly prefers every positively-used column.
 
 The pivoting works on the extended matrix [I | Q] in standard form: slack
 column i is ranked strictly worst in row i and above every real column in
@@ -26,7 +28,7 @@ from operator import gt
 from typing import Callable, Sequence
 
 from .errors import InputError, InternalError, ResourceLimitError
-from .polytope import ZERO, _indicator, exact_rank
+from .polytope import ONE, ZERO, Row, exact_rank, row_dot, sparse
 
 DEFAULT_PIVOT_BUDGET = 10_000_000
 
@@ -35,47 +37,53 @@ TraceSink = Callable[[str], None]
 
 @dataclass(frozen=True)
 class ScarfProblem:
-    """Matrix, bounds, and strict per-row column orders (best first)."""
+    """Sparse rows over `num_cols` columns, bounds, and strict per-row column orders (best first)."""
 
-    rows: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[Row, ...]
     bounds: tuple[Fraction, ...]
     row_orders: tuple[tuple[int, ...], ...]
+    num_cols: int
 
     def __post_init__(self):
         n = len(self.rows)
         if len(self.bounds) != n or len(self.row_orders) != n:
             raise InputError("rows, bounds, and row_orders must have equal length")
         m = self.num_cols
-        for row in self.rows:
-            if len(row) != m:
-                raise InputError("ragged matrix")
-            if any(v < 0 for v in row):
-                raise InputError("matrix entries must be nonnegative")
+        covered = set()
+        for i, row in enumerate(self.rows):
+            cols = [j for j, _ in row]
+            if any(not 0 <= j < m for j in cols):
+                raise InputError(f"row {i} has a column outside 0..{m - 1}")
+            if any(a >= b for a, b in zip(cols, cols[1:])):
+                raise InputError(f"columns of row {i} must be strictly increasing")
+            # A stored zero would count its column as covered and ranked.
+            if any(v <= 0 for _, v in row):
+                raise InputError("stored matrix entries must be positive")
+            if sorted(self.row_orders[i]) != cols:
+                raise InputError(f"order of row {i} must cover exactly its nonzero columns")
+            covered.update(cols)
         for i, b in enumerate(self.bounds):
             if b <= 0:
                 raise InputError(f"bound of row {i} must be positive; pre-eliminate zero rows")
-        for j in range(m):
-            if all(self.rows[i][j] == 0 for i in range(n)):
-                raise InputError(f"column {j} has no nonzero entry")
-        for i in range(n):
-            nonzero = tuple(j for j in range(m) if self.rows[i][j] > 0)
-            if sorted(self.row_orders[i]) != sorted(nonzero):
-                raise InputError(f"order of row {i} must cover exactly its nonzero columns")
+        if len(covered) != m:
+            j = min(set(range(m)) - covered)
+            raise InputError(f"column {j} has no nonzero entry")
 
     @property
     def num_rows(self) -> int:
         return len(self.rows)
 
-    @property
-    def num_cols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
-
 
 def make_problem(rows, bounds, row_orders) -> ScarfProblem:
+    """A problem from a dense matrix (rows of equal length)."""
+    m = len(rows[0]) if rows else 0
+    if any(len(row) != m for row in rows):
+        raise InputError("ragged matrix")
     return ScarfProblem(
-        rows=tuple(tuple(Fraction(v) for v in row) for row in rows),
+        rows=tuple(sparse(row) for row in rows),
         bounds=tuple(Fraction(b) for b in bounds),
         row_orders=tuple(tuple(order) for order in row_orders),
+        num_cols=m,
     )
 
 
@@ -109,10 +117,11 @@ class ScarfBuild:
         col_index = {eid: j for j, eid in enumerate(columns)}
         matrix, bounds, orders = [], [], []
         for bound, members, ranked in rows:
-            matrix.append(_indicator((col_index[eid] for eid in members if eid in col_index), len(columns)))
-            bounds.append(bound)
+            matrix.append(tuple((j, ONE) for j in sorted(col_index[eid] for eid in members if eid in col_index)))
+            bounds.append(Fraction(bound))
             orders.append(tuple(col_index[eid] for eid in ranked if eid in col_index))
-        return cls(make_problem(matrix, bounds, orders), columns, tuple(fixed_zero))
+        problem = ScarfProblem(tuple(matrix), tuple(bounds), tuple(orders), len(columns))
+        return cls(problem, columns, tuple(fixed_zero))
 
     def expand(self, point: DominatingPoint) -> dict:
         """Fractional vector over all edges, zeros on the pre-fixed ones."""
@@ -134,7 +143,7 @@ class DominationReport:
 
 
 def row_value(problem: ScarfProblem, i: int, x: Sequence[Fraction]) -> Fraction:
-    return sum((problem.rows[i][j] * x[j] for j in range(problem.num_cols) if problem.rows[i][j] != 0), ZERO)
+    return row_dot(problem.rows[i], x)
 
 
 def verify_dominating(problem: ScarfProblem, x: Sequence[Fraction]) -> DominationReport:
@@ -150,22 +159,17 @@ def verify_dominating(problem: ScarfProblem, x: Sequence[Fraction]) -> Dominatio
     values = [row_value(problem, i, x) for i in range(n)]
     tight = [values[i] == problem.bounds[i] for i in range(n)]
     within = all(values[i] <= problem.bounds[i] for i in range(n))
-    position = [{j: p for p, j in enumerate(problem.row_orders[i])} for i in range(n)]
-    used = [
-        [j for j in problem.row_orders[i] if x[j] != 0]
-        for i in range(n)
-    ]
-    witnesses = []
-    for j in range(m):
-        rows = []
-        for i in range(n):
-            if problem.rows[i][j] == 0 or not tight[i]:
-                continue
-            pos = position[i]
-            if all(pos[k] <= pos[j] for k in used[i]):
-                rows.append(i)
-        witnesses.append(tuple(rows))
-    return DominationReport(nonnegative=nonnegative, within_bounds=within, witnesses=tuple(witnesses))
+    witnesses = [[] for _ in range(m)]
+    for i, order in enumerate(problem.row_orders):
+        if not tight[i]:
+            continue
+        # Row i witnesses exactly the columns ranked no better than its worst used one.
+        worst = max((p for p, j in enumerate(order) if x[j] != 0), default=0)
+        for j in order[worst:]:
+            witnesses[j].append(i)
+    return DominationReport(
+        nonnegative=nonnegative, within_bounds=within, witnesses=tuple(tuple(rows) for rows in witnesses)
+    )
 
 
 def certify_extreme(problem: ScarfProblem, x: Sequence[Fraction]) -> bool:
@@ -189,8 +193,8 @@ def certify_extreme(problem: ScarfProblem, x: Sequence[Fraction]) -> bool:
         if value > problem.bounds[i]:
             raise InputError(f"point violates row {i}")
         if value == problem.bounds[i]:
-            row = problem.rows[i]
-            vectors.append([row[j] for j in support])
+            coeffs = dict(problem.rows[i])
+            vectors.append([coeffs.get(j, ZERO) for j in support])
     return exact_rank(vectors) == len(support)
 
 
@@ -217,7 +221,7 @@ def _utility_matrix(problem: ScarfProblem) -> list[list[int]]:
             row[n + j] = r - p
         t = 0
         for j in range(m):
-            if problem.rows[i][j] == 0:
+            if not row[n + j]:  # unranked, so Q_ij = 0
                 t += 1
                 row[n + j] = r + t
         for k in range(n):
@@ -237,16 +241,15 @@ class _Tableau:
     def __init__(self, problem: ScarfProblem):
         n, m = problem.num_rows, problem.num_cols
         scale = lcm(
-            *[v.denominator for row in problem.rows for v in row],
+            *[v.denominator for row in problem.rows for _, v in row],
             *[b.denominator for b in problem.bounds],
         )
         self.n, self.m = n, m
         self.mat = []
         for i in range(n):
             row = [0] * (n + m)
-            for j, v in enumerate(problem.rows[i]):
-                if v:
-                    row[n + j] = v.numerator * (scale // v.denominator)
+            for j, v in problem.rows[i]:
+                row[n + j] = v.numerator * (scale // v.denominator)
             row[i] = 1
             self.mat.append(row)
         self.rhs = [(scale * b).numerator for b in problem.bounds]

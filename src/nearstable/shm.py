@@ -26,7 +26,7 @@ from typing import Mapping
 from .errors import InputError, InternalError, PreconditionError
 from .model import CapacityRevision, HyperEdge, HypergraphInstance, require_valid
 from .orders import WeakOrder, break_ties
-from .polytope import ONE, ZERO, LinearRow, _indicator, _is_integral, iterative_rounding
+from .polytope import ONE, ZERO, LinearRow, _is_integral, iterative_rounding, sparse
 from .scarf import (
     DEFAULT_PIVOT_BUDGET,
     ScarfBuild,
@@ -114,7 +114,7 @@ def _vertex_loads(inst: HypergraphInstance, values: Mapping) -> dict:
     return loads
 
 
-def _shm_rule(vertices, columns, ell, z, fractional, active):
+def _shm_rule(vertices, rows, ell, z, fractional, active):
     """First vertex row with fractional mass at most L, else the aggregate row.
 
     Row i < len(vertices) is vertex i; the aggregate row comes last and may
@@ -122,7 +122,7 @@ def _shm_rule(vertices, columns, ell, z, fractional, active):
     """
     aggregate = len(vertices)
     for i in active:
-        if i < aggregate and sum(1 for j in columns[i] if j in fractional) <= ell:
+        if i < aggregate and sum(1 for j, _ in rows[i].coeffs if j in fractional) <= ell:
             return i, vertices[i], "vertex", f"vertex {vertices[i]}"
     if aggregate in active and len(fractional) <= 1:
         return aggregate, "aggregate", "aggregate", "aggregate aggregate"
@@ -143,17 +143,18 @@ def round_shm(inst: HypergraphInstance, x_star: Mapping, trace: TraceSink | None
         if loads[v] != inst.capacities[v]:
             raise PreconditionError(f"vertex row {v!r} is not tight at the fractional point")
     incident = inst.incident()
-    columns = [{index[eid] for eid in incident[v]} for v in inst.vertices]
     objective = tuple(Fraction(len(e.vertices)) for e in inst.edges)
     rows = [
-        LinearRow(_indicator(cols, len(edges)), "eq", Fraction(inst.capacities[v]))
-        for v, cols in zip(inst.vertices, columns)
+        LinearRow(
+            tuple((j, ONE) for j in sorted(index[eid] for eid in incident[v])), "eq", Fraction(inst.capacities[v])
+        )
+        for v in inst.vertices
     ]
-    rows.append(LinearRow(objective, "eq", Fraction(sum(inst.capacities[v] for v in inst.vertices))))
+    rows.append(LinearRow(sparse(objective), "eq", Fraction(sum(inst.capacities[v] for v in inst.vertices))))
     z, steps = iterative_rounding(
         [Fraction(x_star[eid]) for eid in edges],
         rows,
-        partial(_shm_rule, inst.vertices, columns, inst.max_edge_size),
+        partial(_shm_rule, inst.vertices, rows, inst.max_edge_size),
         upper=ONE,
         objective=objective,
         trace=trace,

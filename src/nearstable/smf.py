@@ -69,7 +69,7 @@ def aggregate_size(inst: FlowInstance, flow: Mapping) -> Fraction:
     return sum((flow_size(inst, flow, j) for j in range(1, inst.num_commodities + 1)), ZERO)
 
 
-def _find_blocking_walk(inst: FlowInstance, flow: Mapping, j: int, capacity, ccap) -> BlockingWalk | None:
+def _find_blocking_walk(inst: FlowInstance, flow: Mapping, j: int, capacity, ccap, arc_ranks) -> BlockingWalk | None:
     """Breadth-first search over usable arcs for one commodity.
 
     An arc is usable when it has commodity capacity left and either spare
@@ -77,7 +77,7 @@ def _find_blocking_walk(inst: FlowInstance, flow: Mapping, j: int, capacity, cca
     Valid walk starts leave the source or improve on a positive outgoing
     arc at their tail; valid ends enter the sink or improve at their head.
     Every blocking walk collapses to such a path, so the search is
-    complete.
+    complete.  `arc_ranks` maps each arc to its commodity ranks.
     """
     source = inst.commodities[j - 1].source
     sink = inst.commodities[j - 1].sink
@@ -85,13 +85,14 @@ def _find_blocking_walk(inst: FlowInstance, flow: Mapping, j: int, capacity, cca
     arc_map = inst.arc_by_id()
     outgoing, incoming = inst.outgoing(), inst.incoming()
     totals = {a.id: sum((flow_value(flow, a.id, i) for i in range(1, inst.num_commodities + 1)), ZERO) for a in arcs}
+    vertex_ranks = {v: order.ranks() for (v, i), order in inst.vertex_prefs.items() if i == j}
 
     def usable(aid: str) -> bool:
         if flow_value(flow, aid, j) >= ccap[(aid, j)]:
             return False
         if totals[aid] < capacity[aid]:
             return True
-        ranks = inst.arc_prefs[aid].ranks()
+        ranks = arc_ranks[aid]
         return any(
             flow_value(flow, aid, other) > 0 and ranks[j] < ranks[other]
             for other in range(1, inst.num_commodities + 1)
@@ -99,7 +100,7 @@ def _find_blocking_walk(inst: FlowInstance, flow: Mapping, j: int, capacity, cca
         )
 
     def improves_at(v: str, aid: str, candidates) -> bool:
-        ranks = inst.vertex_prefs[(v, j)].ranks()
+        ranks = vertex_ranks[v]
         return any(flow_value(flow, b, j) > 0 and ranks[aid] < ranks[b] for b in candidates)
 
     usable_ids = [a.id for a in arcs if usable(a.id)]
@@ -183,8 +184,9 @@ def verify_flow(
             if out_sum != in_sum:
                 kirchhoff.append((v, j))
     blocking = []
+    arc_ranks = {aid: order.ranks() for aid, order in inst.arc_prefs.items()}
     for j in range(1, k + 1):
-        walk = _find_blocking_walk(inst, flow, j, capacity, ccap)
+        walk = _find_blocking_walk(inst, flow, j, capacity, ccap, arc_ranks)
         if walk is not None:
             blocking.append(walk)
     return FlowReport(

@@ -2,7 +2,7 @@ import json
 
 from conftest import triangle_instance
 from nearstable import fileformat as ff
-from nearstable.cli import main
+from nearstable.cli import build_parser, main
 
 
 def write_triangle(path):
@@ -203,3 +203,30 @@ def test_trace_file_written(tmp_path, capsys):
     lines = trace.read_text().splitlines()
     assert any(line.startswith("pivot ") for line in lines)
     assert any(line.startswith("round step") for line in lines)
+
+
+def test_repeated_main_calls_match_fresh_calls(tmp_path, capsys):
+    inst = tmp_path / "tri.json"
+    sol = tmp_path / "sol.json"
+    write_triangle(inst)
+    assert run(capsys, "solve", "shm", str(inst), "-o", str(sol))[0] == 0
+    calls = [
+        ("--format", "summary", "solve", "shm", str(inst)),
+        ("verify", str(inst), str(sol)),
+        ("solve", "shm", str(inst)),
+        ("--format", "summary", "verify", str(inst), str(sol)),
+    ]
+
+    def without_timing(result):
+        code, out, err = result
+        return code, [line for line in out.splitlines() if not line.startswith("wall_clock_ms")], err
+
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(without_timing(run(capsys, *argv)))
+    build_parser.cache_clear()
+    reused = [without_timing(run(capsys, *argv)) for argv in calls]
+    assert build_parser.cache_info().misses == 1
+    assert reused == fresh
+    assert fresh[1][1] and fresh[1][1][0].startswith("{")  # --format resets to json

@@ -20,7 +20,7 @@ from nearstable.model import (
     validate,
 )
 from nearstable.orders import WeakOrder
-from nearstable.polytope import LinearRow, LinearSystem, extreme_point, is_vertex
+from nearstable.polytope import LinearRow, LinearSystem, extreme_point, is_vertex, sparse
 from nearstable.shm import add_saturation_gadget, solve_shm, verify_shm
 from nearstable.smf import verify_flow
 
@@ -179,12 +179,12 @@ def test_birkhoff_polytope_degenerate_pivoting():
             coeffs = [F(0)] * (n * n)
             for j in range(n):
                 coeffs[i * n + j] = F(1)
-            rows.append(LinearRow(tuple(coeffs), "eq", F(1)))
+            rows.append(LinearRow(sparse(coeffs), "eq", F(1)))
         for j in range(n):  # column sums
             coeffs = [F(0)] * (n * n)
             for i in range(n):
                 coeffs[i * n + j] = F(1)
-            rows.append(LinearRow(tuple(coeffs), "eq", F(1)))
+            rows.append(LinearRow(sparse(coeffs), "eq", F(1)))
         sys_ = LinearSystem(n * n, tuple(rows), (F(0),) * (n * n), (F(1),) * (n * n))
         warm = tuple(F(1, n) for _ in range(n * n))  # the doubly stochastic center
         objective = tuple(cost[i][j] for i in range(n) for j in range(n))

@@ -15,6 +15,7 @@ from nearstable.polytope import (
     nullspace_vector,
     rank_of_tight_rows,
     solve_square,
+    sparse,
 )
 
 F = Fraction
@@ -38,7 +39,7 @@ def test_aggregate_residual_forces_half():
     # one equality 2(x0 + x1 + x2) = 3 with x1 = 1 and x2 = 0 fixed
     sys_ = LinearSystem(
         3,
-        (LinearRow((F(2), F(2), F(2)), "eq", F(3)),),
+        (LinearRow(sparse((2, 2, 2)), "eq", F(3)),),
         (F(0),) * 3,
         (F(1),) * 3,
         fixed={1: F(1), 2: F(0)},
@@ -54,9 +55,9 @@ def test_interior_point_rank_zero():
 
 def test_odd_cycle_rows_have_full_rank_at_half_point():
     rows = (
-        LinearRow((F(1), F(0), F(1)), "eq", F(1)),
-        LinearRow((F(1), F(1), F(0)), "eq", F(1)),
-        LinearRow((F(0), F(1), F(1)), "eq", F(1)),
+        LinearRow(sparse((1, 0, 1)), "eq", F(1)),
+        LinearRow(sparse((1, 1, 0)), "eq", F(1)),
+        LinearRow(sparse((0, 1, 1)), "eq", F(1)),
     )
     sys_ = LinearSystem(3, rows, (F(0),) * 3, (F(1),) * 3)
     half = (F(1, 2),) * 3
@@ -70,6 +71,11 @@ def test_midpoint_of_square_edge_is_not_vertex():
     assert is_vertex(sys_, (F(0), F(0)))
 
 
+def test_row_column_outside_num_vars_rejected():
+    with pytest.raises(PreconditionError):
+        LinearSystem(2, (LinearRow(sparse((1, 0, 1)), "le", F(1)),), (F(0),) * 2, (F(1),) * 2)
+
+
 def test_infeasible_warm_start_rejected():
     with pytest.raises(PreconditionError):
         extreme_point(box(1), None, (F(2),))
@@ -78,8 +84,8 @@ def test_infeasible_warm_start_rejected():
 def test_no_upper_bound_variables():
     # x0 <= x1 together with x1 <= 1 bounds the system without box uppers
     rows = (
-        LinearRow((F(1), F(-1)), "le", F(0)),
-        LinearRow((F(0), F(1)), "le", F(1)),
+        LinearRow(sparse((1, -1)), "le", F(0)),
+        LinearRow(sparse((0, 1)), "le", F(1)),
     )
     sys_ = LinearSystem(2, rows, (F(0), F(0)), (None, None))
     pt = extreme_point(sys_, (F(1), F(0)), (F(0), F(0)))
@@ -158,7 +164,7 @@ def test_kernel_against_fraction_elimination():
 
 def _brute_vertices(sys_: LinearSystem):
     n = sys_.num_vars
-    descs = [(list(r.coeffs), r.rhs) for r in sys_.rows]
+    descs = [([dict(r.coeffs).get(j, F(0)) for j in range(n)], r.rhs) for r in sys_.rows]
     for j in range(n):
         low = [F(0)] * n
         low[j] = F(-1)
@@ -187,7 +193,7 @@ def test_random_systems_against_vertex_enumeration():
         for _ in range(rng.randint(0, 3)):
             coeffs = tuple(F(rng.randint(0, 2)) for _ in range(n))
             if any(c != 0 for c in coeffs):
-                rows.append(LinearRow(coeffs, "le", F(rng.randint(1, 3))))
+                rows.append(LinearRow(sparse(coeffs), "le", F(rng.randint(1, 3))))
         sys_ = LinearSystem(n, tuple(rows), (F(0),) * n, (F(1),) * n)
         warm = (F(0),) * n
         obj = tuple(F(rng.randint(-2, 3)) for _ in range(n))
@@ -211,9 +217,9 @@ def test_warm_start_value_never_decreases():
                 continue
             lhs = sum(c * x for c, x in zip(coeffs, x0))
             if rng.random() < 0.5:
-                rows.append(LinearRow(coeffs, "eq", lhs))
+                rows.append(LinearRow(sparse(coeffs), "eq", lhs))
             else:
-                rows.append(LinearRow(coeffs, "le", lhs + F(rng.randint(0, 2))))
+                rows.append(LinearRow(sparse(coeffs), "le", lhs + F(rng.randint(0, 2))))
         fixed = {}
         if rng.random() < 0.4:
             j = rng.randrange(n)

@@ -19,7 +19,7 @@ from nearstable.scarf import (
     solve_scarf,
     verify_dominating,
 )
-from nearstable.shm import solve_shm
+from nearstable.shm import build_shm_scarf, solve_shm
 
 F = Fraction
 
@@ -72,10 +72,18 @@ def test_triangle_gives_half_point_with_expected_witnesses():
     assert point.dominating_row == {0: 1, 1: 2, 2: 0}
 
 
+def _dense(row, m):
+    """A problem row's (column, value) pairs as a dense list of length m."""
+    vec = [F(0)] * m
+    for j, c in row:
+        vec[j] = c
+    return vec
+
+
 def _enumerate_extreme_points(problem: ScarfProblem):
     """Oracle: all vertices of {Qx <= d, x >= 0} by exhaustive row selection."""
     m = problem.num_cols
-    descs = [list(row) + [problem.bounds[i]] for i, row in enumerate(problem.rows)]
+    descs = [_dense(row, m) + [problem.bounds[i]] for i, row in enumerate(problem.rows)]
     for j in range(m):
         unit = [F(0)] * m
         unit[j] = F(-1)
@@ -166,7 +174,7 @@ def test_exact_rank_fraction_free_cases():
 def _is_vertex_by_definition(problem: ScarfProblem, x) -> bool:
     """All tight matrix rows plus every unit row e_j with x_j = 0 have rank m."""
     m = problem.num_cols
-    vectors = [list(problem.rows[i]) for i in range(problem.num_rows) if row_value(problem, i, x) == problem.bounds[i]]
+    vectors = [_dense(problem.rows[i], m) for i in range(problem.num_rows) if row_value(problem, i, x) == problem.bounds[i]]
     for j in range(m):
         if x[j] == 0:
             vectors.append([F(1) if k == j else F(0) for k in range(m)])
@@ -351,6 +359,26 @@ def test_problem_validation():
         make_problem([[1]], [1], [()])  # order must cover nonzero columns
     with pytest.raises(InputError):
         make_problem([[-1]], [1], [(0,)])  # negative entry
+    with pytest.raises(InputError):
+        make_problem([[1, 1], [1]], [1, 1], [(0, 1), (0,)])  # ragged dense matrix
+    one = F(1)
+    bad_sparse = [
+        (((0, one), (2, one)), (0, 2)),  # column outside num_cols
+        (((1, one), (0, one)), (0, 1)),  # unsorted columns
+        (((0, one), (0, one)), (0,)),  # repeated column
+        (((0, one), (1, F(0))), (0, 1)),  # stored zero would mark column 1 covered
+        (((0, one), (1, F(-1))), (0, 1)),  # negative coefficient
+        (((0, one), (1, one)), (1,)),  # order misses a column of the row
+        (((0, one),), (0, 1)),  # order ranks a column outside the row
+    ]
+    for row, order in bad_sparse:
+        with pytest.raises(InputError):
+            ScarfProblem((row, ((1, one),)), (one, one), (order, (1,)), num_cols=2)
+    assert ScarfProblem((((0, one), (1, one)),), (one,), ((1, 0),), num_cols=2).num_rows == 1
+
+
+def test_dense_and_edge_built_problems_agree():
+    assert triangle_problem() == build_shm_scarf(triangle_instance()).problem
 
 
 def test_empty_problem():

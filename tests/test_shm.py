@@ -130,7 +130,7 @@ def test_build_triangle_is_six_by_three(triangle):
 def test_build_single_vertex_with_gadget_edge():
     gadgeted = add_saturation_gadget(single_vertex_instance(q=1))
     build = build_shm_scarf(gadgeted)
-    assert build.problem.rows == ((F(1),), (F(1),))
+    assert build.problem.rows == (((0, F(1)),), ((0, F(1)),))
     assert build.problem.bounds == (F(1), F(1))
 
 
@@ -145,7 +145,7 @@ def test_build_prefixes_zero_capacity_vertices():
     assert build.fixed_zero == ("e0",)
     assert build.columns == ("e1",)
     # only b's vertex row and the identity row of e1 remain
-    assert build.problem.rows == ((F(1),), (F(1),))
+    assert build.problem.rows == (((0, F(1)),), ((0, F(1)),))
 
 
 def test_dominating_iff_stable_on_sampled_vectors():

@@ -19,7 +19,7 @@ from typing import Mapping
 from .errors import InputError, InternalError, PreconditionError
 from .model import CacqInstance, CapacityRevision, CollegeSet, normalize_cacq, require_valid
 from .orders import break_ties
-from .polytope import ONE, ZERO, LinearRow, iterative_rounding, row_dot
+from .polytope import ONE, ZERO, LinearRow, int_dot, iterative_rounding, scale
 from .scarf import (
     DEFAULT_PIVOT_BUDGET,
     ScarfBuild,
@@ -82,16 +82,23 @@ def build_cacq_scarf(inst: CacqInstance) -> ScarfBuild:
     return ScarfBuild.from_rows([e.id for e in inst.edges], fixed_zero, rows)
 
 
-def _set_loads(inst: CacqInstance, values: Mapping) -> dict:
+def _college_sets(inst: CacqInstance) -> dict:
+    """College id -> ids of the sets listing it, each set once, in declared order."""
+    out: dict = {}
+    for cs in inst.sets:
+        for c in dict.fromkeys(cs.colleges):
+            out.setdefault(c, []).append(cs.id)
+    return out
+
+
+def _set_loads(inst: CacqInstance, values: Mapping, college_sets: Mapping) -> dict:
     loads = {cs.id: ZERO for cs in inst.sets}
-    members = {cs.id: set(cs.colleges) for cs in inst.sets}
     for e in inst.edges:
         value = values.get(e.id, ZERO)
         if value == 0:
             continue
-        for cs in inst.sets:
-            if e.college in members[cs.id]:
-                loads[cs.id] += value
+        for set_id in college_sets.get(e.college, ()):
+            loads[set_id] += value
     return loads
 
 
@@ -112,15 +119,16 @@ def pinned_students(inst: CacqInstance, x_star: Mapping) -> tuple[str, ...]:
 def _cacq_rule(sets, rows, ell, z, fractional, active):
     """First non-tight set row with fractional mass <= 2L - 1, else first tight one with mass <= 2L.
 
-    Tightness is taken at `z`.  Rows i < len(sets) are the set rows; the
-    student rows after them are never deleted.
+    Tightness is taken at `z`, in integers.  Rows i < len(sets) are the
+    set rows; the student rows after them are never deleted.
     """
+    nums, den = scale(z)
     for tight, allowance in ((False, 2 * ell - 1), (True, 2 * ell)):
         for i in active:
             if i < len(sets):
-                load = row_dot(rows[i].coeffs, z)
-                mass = sum(1 for j, _ in rows[i].coeffs if j in fractional)
-                if (load == sets[i].quota) == tight and mass <= allowance:
+                coeffs, quota = rows[i].scaled
+                mass = sum(1 for j, _ in coeffs if j in fractional)
+                if (int_dot(coeffs, nums) == quota * den) == tight and mass <= allowance:
                     kind = "tight" if tight else "non-tight"
                     return i, sets[i].id, kind, f"{kind} set {sets[i].id}"
     return None
@@ -176,8 +184,9 @@ def compute_cacq_quotas(inst: CacqInstance, x_star: Mapping, y: Mapping) -> Capa
             raise PreconditionError(f"fully assigned student {s!r} lost the seat")
         if y_loads[s] > 1:
             raise PreconditionError(f"student {s!r} holds more than one seat")
-    x_set = _set_loads(inst, x_star)
-    y_set = _set_loads(inst, y)
+    college_sets = _college_sets(inst)
+    x_set = _set_loads(inst, x_star, college_sets)
+    y_set = _set_loads(inst, y, college_sets)
     original = {cs.id: cs.quota for cs in inst.sets}
     revised = {}
     for cs in inst.sets:
@@ -219,19 +228,19 @@ def verify_cacq(inst: CacqInstance, quotas: Mapping, matching: Mapping) -> CacqR
     values = {e.id: Fraction(matching.get(e.id, 0)) for e in inst.edges}
     value_violations = tuple(eid for eid, v in values.items() if v < 0 or v > 1)
     student_loads = _student_loads(inst, values)
-    set_loads = _set_loads(inst, values)
+    college_sets = _college_sets(inst)
+    set_loads = _set_loads(inst, values, college_sets)
     student_violations = tuple(s for s in inst.students if student_loads[s] > 1)
     quota_violations = tuple(cs.id for cs in inst.sets if set_loads[cs.id] > quotas[cs.id])
     edge_map = inst.edge_by_id()
     student_ranks = {s: inst.student_prefs[s].ranks() for s in inst.students}
-    sets_of_college = inst.memberships
-    assigned_students = {
-        cs.id: sorted(
-            {edge_map[eid].student for eid, v in values.items() if v > 0 and edge_map[eid].college in set(cs.colleges)},
-            key=str,
-        )
-        for cs in inst.sets
-    }
+    assigned = {cs.id: set() for cs in inst.sets}
+    for eid, v in values.items():
+        if v > 0:
+            e = edge_map[eid]
+            for set_id in college_sets.get(e.college, ()):
+                assigned[set_id].add(e.student)
+    assigned_students = {set_id: sorted(students, key=str) for set_id, students in assigned.items()}
     master_ranks = {cs.id: cs.master.ranks() for cs in inst.sets}
     blocking = []
     for e in inst.edges:
@@ -243,7 +252,7 @@ def verify_cacq(inst: CacqInstance, quotas: Mapping, matching: Mapping) -> CacqR
         if not improves:
             continue
         all_sets_open = True
-        for set_id in sets_of_college[e.college]:
+        for set_id in college_sets.get(e.college, ()):
             if set_loads[set_id] < quotas[set_id]:
                 continue
             master_rank = master_ranks[set_id]
@@ -306,7 +315,7 @@ def solve_cacq(
     missing = [s for s in pinned if s not in matched_students]
     if missing:
         raise InternalError(f"pinned students left unmatched: {missing}")
-    x_set = _set_loads(strict, x_star)
+    x_set = _set_loads(strict, x_star, _college_sets(strict))
     certificate = {
         "pipeline": "cacq",
         "max_memberships": ell,

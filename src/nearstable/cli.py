@@ -213,15 +213,24 @@ def _cmd_verify(args) -> int:
     return EXIT_PASS if ok else EXIT_VERIFIED_FAIL
 
 
+# The `GeneratorConfig` fields `gen` exposes as options, each defaulting to the config's default.
+_GEN_FIELDS = (
+    "max_vertices",
+    "max_edges",
+    "max_edge_size",
+    "tie_permille",
+    "max_students",
+    "max_colleges",
+    "max_extra_sets",
+    "memberships",
+    "commodities",
+    "max_arcs",
+)
+
+
 def _cmd_gen(args) -> int:
     config = GeneratorConfig(
-        family=args.family,
-        seed=args.seed,
-        max_vertices=args.max_vertices,
-        max_edges=args.max_edges,
-        max_edge_size=args.max_edge_size,
-        tie_permille=args.tie_permille,
-        commodities=args.commodities,
+        family=args.family, seed=args.seed, **{name: getattr(args, name) for name in _GEN_FIELDS}
     )
     produced = generate(config)
     if args.family == "smf":
@@ -287,11 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate a seeded random instance")
     gen.add_argument("family", choices=["shm", "fixtures", "cacq", "smf"])
     gen.add_argument("--seed", type=int, required=True)
-    gen.add_argument("--max-vertices", type=int, default=8)
-    gen.add_argument("--max-edges", type=int, default=15)
-    gen.add_argument("--max-edge-size", type=int, default=3)
-    gen.add_argument("--tie-permille", type=int, default=300)
-    gen.add_argument("--commodities", type=int, default=2)
+    for name in _GEN_FIELDS:
+        gen.add_argument("--" + name.replace("_", "-"), type=int, default=getattr(GeneratorConfig, name))
     gen.add_argument("-o", "--output")
     gen.set_defaults(func=_cmd_gen)
 

@@ -5,11 +5,21 @@ order; the Scarf matrix and the LP's constraints both use it.  `row_dot`
 evaluates one at a point, and `sparse` is the one adapter from a dense
 coefficient vector.
 
-All elimination runs through one integer kernel, `_echelon`: dense rows are
-scaled to integers, reduced in input order without division and divided
-by their content.  `exact_rank`, `nullspace_vector`, `solve_square` and the
-active-set start of the simplex are each a reading of its output, so they
-agree with one another and with Fraction elimination in the same order.
+The LP evaluates rows in integers.  `scale` writes rational values as
+integer numerators over the lcm of their denominators: a point is scaled
+once, a `LinearRow` and its rhs are scaled once (`LinearRow.scaled`, made
+on first use), and the reduced constraints, bounds and fixed-variable
+shifts are stored scaled.  Every scale factor is positive, so signs,
+tightness and the ratios of the step test are those of the rational rows,
+and directions and multipliers change only by positive factors: the pivot
+path and every returned point are the ones Fraction arithmetic gives.
+
+All elimination runs through one integer kernel, `_echelon`: integer rows
+are reduced in input order without division and divided by their content,
+so positively scaled inputs leave the same rows.  `exact_rank`,
+`nullspace_vector`, `solve_square` and the active-set start of the simplex
+are each a reading of its output, so they agree with one another and with
+Fraction elimination in the same order.
 
 Systems are given as equality/inequality rows plus per-variable bounds and a
 set of variables fixed to constants.  `extreme_point` walks from a feasible
@@ -17,20 +27,22 @@ warm-start point to a vertex, optionally maximizing a linear objective with
 a Bland-rule active-set simplex.  After the fixed variables are substituted
 out, the constraints form one list in Bland order (equalities, `<=` rows,
 lower bounds as `-x_i <= -lo_i`, finite upper bounds), and a constraint's
-index is its tie-break key.  Every number is a `fractions.Fraction`, so
-results are exact and deterministic.  `rank_of_tight_rows` certifies
-vertexhood: a feasible point is a vertex iff the rows tight at it (bound
-rows included) have rank equal to the number of unfixed variables.
-`iterative_rounding` is the rounding loop both capacity-revision pipelines
-share: delete one row by a pipeline's rule, fix the integral coordinates,
-re-solve with `extreme_point`, repeat until the vector is integral.
+index is its tie-break key.  Results are exact `fractions.Fraction` values
+and deterministic.  `rank_of_tight_rows` certifies vertexhood: a feasible
+point is a vertex iff the rows tight at it (bound rows included) have rank
+equal to the number of unfixed variables.  `iterative_rounding` is the
+rounding loop both capacity-revision pipelines share: delete one row by a
+pipeline's rule, fix the integral coordinates, re-solve with
+`extreme_point`, repeat until the vector is integral.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
+from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from .errors import InternalError, PreconditionError
@@ -46,6 +58,9 @@ def _is_integral(value: Fraction) -> bool:
 
 
 Row = tuple[tuple[int, Fraction], ...]
+IntRow = tuple[tuple[int, int], ...]
+# Integer numerators and their positive common denominator: nums[i] / den.
+Point = tuple[list[int], int]
 
 
 def sparse(dense: Iterable) -> Row:
@@ -57,30 +72,39 @@ def row_dot(row: Row, x: Sequence[Fraction]) -> Fraction:
     return sum((c * x[j] for j, c in row), ZERO)
 
 
+def scale(values: Sequence) -> Point:
+    """Rational values as integer numerators over the lcm of their denominators."""
+    den = 1
+    for v in values:
+        if v.denominator != 1:
+            den = lcm(den, v.denominator)
+    if den == 1:
+        return [v.numerator for v in values], 1
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def int_dot(row: IntRow, nums: Sequence[int]) -> int:
+    return sum(c * nums[j] for j, c in row)
+
+
 # ---------------------------------------------------------------------------
 # exact linear algebra (shared with the Scarf engine)
 # ---------------------------------------------------------------------------
 
 
-def _echelon(vectors: Iterable[Sequence[Fraction]]) -> list[tuple[int, int, list[int]]]:
+def _echelon(rows: Iterable[list[int]]) -> list[tuple[int, int, list[int]]]:
     """(input index, lead column, integer row) for each independent input row.
 
-    Each row is scaled to integers by the lcm of its denominators, then
-    reduced in input order against the rows kept so far: with `b` a kept
-    row and `lead` its first nonzero column, the row becomes
+    Rows are reduced in input order against the rows kept so far: with `b`
+    a kept row and `lead` its first nonzero column, the row becomes
     `b[lead]*row - row[lead]*b`.  A row left nonzero is divided by its
-    content (the gcd of its entries) and kept.  Every kept row is a nonzero
+    content (the gcd of its entries) and kept.  Every kept row is a positive
     multiple of the row Fraction elimination in the same order keeps, and
-    vanishes on the lead columns of the rows kept before it.
+    vanishes on the lead columns of the rows kept before it; a positive
+    multiple of an input row leaves the kept rows unchanged.
     """
     kept = []
-    for index, vec in enumerate(vectors):
-        # Most entries are integers: only denominators other than 1 enter the lcm.
-        scale = 1
-        for v in vec:
-            if v.denominator != 1:
-                scale = lcm(scale, v.denominator)
-        row = [v.numerator * (scale // v.denominator) for v in vec]
+    for index, row in enumerate(rows):
         for _, lead, b in kept:
             factor = row[lead]
             if factor:
@@ -96,9 +120,36 @@ def _echelon(vectors: Iterable[Sequence[Fraction]]) -> list[tuple[int, int, list
     return kept
 
 
+def _null_vector(kept: list[tuple[int, int, list[int]]], dim: int) -> Point | None:
+    """`nullspace_vector` of the rows `_echelon` kept, as an integer point.
+
+    The lead coordinates are back-substituted in integers: before each one
+    the vector is multiplied by the least positive factor that makes it
+    integral, so the numerators end primitive and the denominator is the
+    numerator of the free column that carries the 1.
+    """
+    if len(kept) >= dim:
+        return None
+    leads = {lead for _, lead, _ in kept}
+    free = next(i for i in range(dim) if i not in leads)
+    w = [0] * dim
+    w[free] = 1
+    for _, lead, b in reversed(kept):
+        s = sum(map(mul, b, w))
+        if not s:
+            continue
+        piv = b[lead]
+        g = gcd(s, piv)
+        factor = abs(piv) // g
+        if factor != 1:
+            w = [factor * v for v in w]
+        w[lead] = -(s // g) if piv > 0 else s // g
+    return w, w[free]
+
+
 def exact_rank(vectors: Iterable[Sequence[Fraction]]) -> int:
     """Rank of a list of rational row vectors: the rows `_echelon` keeps."""
-    return len(_echelon(vectors))
+    return len(_echelon(scale(vec)[0] for vec in vectors))
 
 
 def nullspace_vector(vectors: Iterable[Sequence[Fraction]], dim: int) -> list[Fraction] | None:
@@ -109,30 +160,31 @@ def nullspace_vector(vectors: Iterable[Sequence[Fraction]], dim: int) -> list[Fr
     solved in reverse order of insertion: a kept row vanishes on the leads
     of earlier rows, so every other coordinate it touches is known by then.
     """
-    kept = _echelon(vectors)
-    if len(kept) >= dim:
+    w = _null_vector(_echelon(scale(vec)[0] for vec in vectors), dim)
+    if w is None:
         return None
-    leads = {lead for _, lead, _ in kept}
-    w = [ZERO] * dim
-    w[next(i for i in range(dim) if i not in leads)] = ONE
-    for _, lead, b in reversed(kept):
-        w[lead] = -sum((c * wi for c, wi in zip(b, w) if c and wi), ZERO) / b[lead]
-    return w
+    nums, den = w
+    return [Fraction(v, den) for v in nums]
 
 
-def solve_square(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction]:
-    """Solve M x = rhs for square nonsingular M, exactly.
+def _solution(augmented: Iterable[list[int]], n: int) -> Point:
+    """x with M x = rhs, from the integer rows [M | -rhs] of a square system.
 
     x is the null vector of [M | -rhs] when its last coordinate is 1.  That
     happens iff M is nonsingular: otherwise the chosen free column lies
     inside M, and the last coordinate is either another free column (0) or
     the lead of the row (0, ..., 0, c) (also 0).
     """
-    n = len(matrix)
-    w = nullspace_vector([[*row, -b] for row, b in zip(matrix, rhs)], n + 1)
-    if w is None or w[n] != ONE:
+    w = _null_vector(_echelon(augmented), n + 1)
+    if w is None or w[0][n] != w[1]:
         raise InternalError("singular matrix in exact solve")
-    return w[:n]
+    return w[0][:n], w[1]
+
+
+def solve_square(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction]:
+    """Solve M x = rhs for square nonsingular M, exactly."""
+    nums, den = _solution((scale([*row, -b])[0] for row, b in zip(matrix, rhs)), len(matrix))
+    return [Fraction(v, den) for v in nums]
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +197,12 @@ class LinearRow:
     coeffs: Row
     relation: str  # "le" or "eq"
     rhs: Fraction
+
+    @cached_property
+    def scaled(self) -> tuple[IntRow, int]:
+        """The row and its rhs times the lcm of their denominators, made on first use."""
+        nums, _ = scale([self.rhs, *(c for _, c in self.coeffs)])
+        return tuple((j, c) for (j, _), c in zip(self.coeffs, nums[1:])), nums[0]
 
 
 @dataclass(frozen=True)
@@ -180,28 +238,30 @@ def is_feasible(sys: LinearSystem, x: Sequence[Fraction]) -> bool:
     for j, value in sys.fixed.items():
         if x[j] != value:
             return False
-    for j in range(sys.num_vars):
-        if x[j] < sys.lower[j]:
+    nums, den = scale(x)
+    for v, lo, up in zip(nums, sys.lower, sys.upper):
+        if v * lo.denominator < lo.numerator * den:
             return False
-        if sys.upper[j] is not None and x[j] > sys.upper[j]:
+        if up is not None and v * up.denominator > up.numerator * den:
             return False
     for row in sys.rows:
-        lhs = row_dot(row.coeffs, x)
-        if row.relation == "eq" and lhs != row.rhs:
-            return False
-        if row.relation == "le" and lhs > row.rhs:
+        coeffs, rhs = row.scaled
+        lhs, rhs = int_dot(coeffs, nums), rhs * den
+        if lhs > rhs or (row.relation == "eq" and lhs != rhs):
             return False
     return True
 
 
 class _Reduced:
-    """System restricted to the unfixed variables, as `<=`/`==` constraints.
+    """System restricted to the unfixed variables, as integer `<=`/`==` constraints.
 
     `constraints` holds (row, rhs) pairs over the unfixed variables in Bland
     order: the `num_eq` equalities, then the `<=` rows, then each lower
-    bound as `-x_i <= -lo_i`, then each finite upper bound.  The index of a
-    constraint is its tie-break key; only the equalities are never dropped
-    from an active set.
+    bound as `-x_i <= -lo_i`, then each finite upper bound.  Each is a
+    positive integer multiple of its rational constraint: a row is scaled
+    by its own lcm and by that of the fixed values, whose shift moves into
+    the rhs.  The index of a constraint is its tie-break key; only the
+    equalities are never dropped from an active set.
     """
 
     def __init__(self, sys: LinearSystem):
@@ -209,120 +269,144 @@ class _Reduced:
         self.free = [j for j in range(sys.num_vars) if j not in sys.fixed]
         pos = {j: i for i, j in enumerate(self.free)}
         self.n = len(self.free)
+        values, den = scale(list(sys.fixed.values()))
+        fixed = dict(zip(sys.fixed, values))
         eq, le = [], []
         for row in sys.rows:
-            reduced = tuple((pos[j], c) for j, c in row.coeffs if j in pos)
-            shift = sum((c * sys.fixed[j] for j, c in row.coeffs if j not in pos), ZERO)
-            (eq if row.relation == "eq" else le).append((reduced, row.rhs - shift))
+            coeffs, rhs = row.scaled
+            reduced = tuple((pos[j], den * c) for j, c in coeffs if j in pos)
+            shift = sum(c * fixed[j] for j, c in coeffs if j not in pos)
+            (eq if row.relation == "eq" else le).append((reduced, den * rhs - shift))
         self.num_eq = len(eq)
-        lower = [(((i, -ONE),), -sys.lower[j]) for i, j in enumerate(self.free)]
-        upper = [(((i, ONE),), sys.upper[j]) for i, j in enumerate(self.free) if sys.upper[j] is not None]
+        bounds = [(sys.lower[j], sys.upper[j]) for j in self.free]
+        lower = [(((i, -lo.denominator),), -lo.numerator) for i, (lo, _) in enumerate(bounds)]
+        upper = [(((i, up.denominator),), up.numerator) for i, (_, up) in enumerate(bounds) if up is not None]
         self.constraints = eq + le + lower + upper
 
-    def full_point(self, x: list[Fraction]) -> tuple[Fraction, ...]:
+    def full_point(self, point: Point) -> tuple[Fraction, ...]:
+        nums, den = point
         out = [ZERO] * self.sys.num_vars
         for j, value in self.sys.fixed.items():
             out[j] = value
-        for i, j in enumerate(self.free):
-            out[j] = x[i]
+        for j, v in zip(self.free, nums):
+            out[j] = Fraction(v, den)
         return tuple(out)
 
-    def reduce(self, vector: Sequence[Fraction]) -> list[Fraction]:
-        """A point or objective restricted to the unfixed variables."""
-        return [Fraction(vector[j]) for j in self.free]
+    def reduce(self, vector: Sequence[Fraction]) -> Point:
+        """A point or objective restricted to the unfixed variables, scaled."""
+        return scale([vector[j] for j in self.free])
 
-    def dense(self, k: int) -> list[Fraction]:
+    def dense(self, k: int) -> list[int]:
         """Constraint k's row as a dense vector for `_echelon`."""
-        vec = [ZERO] * self.n
+        vec = [0] * self.n
         for i, c in self.constraints[k][0]:
             vec[i] = c
         return vec
 
-    def slack(self, k: int, x: list[Fraction]) -> Fraction:
-        """Slack of constraint k at x (0 means tight)."""
-        row, rhs = self.constraints[k]
-        return rhs - row_dot(row, x)
+    def tight(self, point: Point) -> list[int]:
+        """Every equality, then the inequalities tight at the point, in Bland order."""
+        nums, den = point
+        return [
+            k
+            for k, (row, rhs) in enumerate(self.constraints)
+            if k < self.num_eq or int_dot(row, nums) == rhs * den
+        ]
 
-    def tight(self, x: list[Fraction]) -> list[int]:
-        """Every equality, then the inequalities tight at x, in Bland order."""
-        return [k for k in range(len(self.constraints)) if k < self.num_eq or self.slack(k, x) == 0]
 
-
-def _max_step(red: _Reduced, x: list[Fraction], d: list[Fraction], skip: set):
+def _max_step(red: _Reduced, point: Point, d: Sequence[int], skip) -> tuple[Fraction | None, int | None]:
     """Largest feasible step along d and the limiting constraint.
 
     Returns (t, constraint index) with t = None when the ray is unbounded.
-    Inequalities are scanned in Bland order and only a strictly smaller
-    step replaces the best, so ties go to the smallest index.
+    A constraint's step is its slack over its speed along d; the steps are
+    compared by cross-multiplying, and a Fraction is made for the winner
+    only.  Inequalities are scanned in Bland order and only a strictly
+    smaller step replaces the best, so ties go to the smallest index.
     """
-    best_t = None
-    best_k = None
+    nums, den = point
+    best = None
     for k in range(red.num_eq, len(red.constraints)):
         if k in skip:
             continue
-        speed = row_dot(red.constraints[k][0], d)
+        row, rhs = red.constraints[k]
+        speed = int_dot(row, d)
         if speed <= 0:
             continue
-        t = red.slack(k, x) / speed
-        if best_t is None or t < best_t:
-            best_t = t
-            best_k = k
-    return best_t, best_k
+        slack = rhs * den - int_dot(row, nums)
+        if best is None or slack * best[1] < best[0] * speed:
+            best = (slack, speed, k)
+    if best is None:
+        return None, None
+    slack, speed, k = best
+    return Fraction(slack, speed * den), k
 
 
-def _purify(red: _Reduced, x: list[Fraction], gain: Row) -> list[Fraction]:
-    """Drive x to a vertex without ever decreasing the objective row `gain`."""
+def _advance(point: Point, t: Fraction, d: Sequence[int]) -> Point:
+    """The point + t * d, over the lcm of its denominators."""
+    nums, den = point
+    top = t.numerator * den
+    nums = [t.denominator * v + top * dv for v, dv in zip(nums, d)]
+    den *= t.denominator
+    g = gcd(den, *nums)
+    if g != 1:
+        nums, den = [v // g for v in nums], den // g
+    return nums, den
+
+
+def _purify(red: _Reduced, point: Point, gain: list[int]) -> Point:
+    """Drive the point to a vertex without ever decreasing the objective `gain`."""
     while True:
-        w = nullspace_vector([red.dense(k) for k in red.tight(x)], red.n)
+        w = _null_vector(_echelon(red.dense(k) for k in red.tight(point)), red.n)
         if w is None:
-            return x
-        if row_dot(gain, w) < 0:
-            w = [-c for c in w]
-        t, _ = _max_step(red, x, w, skip=set())
+            return point
+        d = w[0]
+        if sum(map(mul, gain, d)) < 0:
+            d = [-c for c in d]
+        t, _ = _max_step(red, point, d, skip=())
         if t is None:
-            w = [-c for c in w]
-            t, _ = _max_step(red, x, w, skip=set())
+            d = [-c for c in d]
+            t, _ = _max_step(red, point, d, skip=())
             if t is None:
                 raise InternalError("polytope is unbounded along a purification direction")
         if t == 0:
             raise InternalError("zero purification step from a non-tight direction")
-        x = [xi + t * wi for xi, wi in zip(x, w)]
+        point = _advance(point, t, d)
 
 
-def _initial_active_set(red: _Reduced, x: list[Fraction]) -> list[int]:
+def _initial_active_set(red: _Reduced, point: Point) -> list[int]:
     """A maximal independent subset of the constraints tight at a vertex.
 
     Equality rows are added first so they are always represented; dependent
     equality rows are implied by the chosen ones and stay satisfied.
     """
-    tight = red.tight(x)
+    tight = red.tight(point)
     chosen = [tight[index] for index, _, _ in _echelon(red.dense(k) for k in tight)]
     if len(chosen) != red.n:
         raise InternalError("active-set start point is not a vertex")
     return chosen
 
 
-def _simplex(red: _Reduced, x: list[Fraction], objective: list[Fraction]) -> list[Fraction]:
-    """Maximize objective over the reduced system starting at vertex x."""
-    active = _initial_active_set(red, x)
+def _simplex(red: _Reduced, point: Point, objective: list[int]) -> Point:
+    """Maximize objective over the reduced system starting at a vertex.
+
+    The multipliers and the direction are positive multiples of the
+    rational ones, which is all their signs and the step test need.
+    """
+    active = _initial_active_set(red, point)
     budget = _SIMPLEX_BUDGET_FACTOR * (red.n + len(red.sys.rows) + 1)
     for _ in range(budget):
         matrix = [red.dense(k) for k in active]
-        transposed = [[matrix[r][c] for r in range(red.n)] for c in range(red.n)]
-        lam = solve_square(transposed, objective)
+        lam, _ = _solution(([*col, -c] for col, c in zip(zip(*matrix), objective)), red.n)
         leaving = None
         for pos, k in enumerate(active):
             if k >= red.num_eq and lam[pos] < 0 and (leaving is None or k < active[leaving]):
                 leaving = pos
         if leaving is None:
-            return x
-        target = [ZERO] * red.n
-        target[leaving] = -ONE
-        d = solve_square(matrix, target)
-        t, entering = _max_step(red, x, d, skip=set(active))
+            return point
+        d, _ = _solution(([*row, int(pos == leaving)] for pos, row in enumerate(matrix)), red.n)
+        t, entering = _max_step(red, point, d, skip=set(active))
         if t is None:
             raise InternalError("unbounded improving ray on a bounded polytope")
-        x = [xi + t * di for xi, di in zip(x, d)]
+        point = _advance(point, t, d)
         active[leaving] = entering
     raise InternalError("simplex iteration budget exceeded")
 
@@ -338,18 +422,17 @@ def extreme_point(
     rank equal to the number of unfixed variables; its objective value is
     never below the warm start's.
     """
-    warm = [Fraction(v) for v in warm]
     if not is_feasible(sys, warm):
         raise PreconditionError("warm start point is not feasible for the system")
     red = _Reduced(sys)
-    x = red.reduce(warm)
+    point = red.reduce(warm)
     if red.n == 0:
-        return red.full_point(x)
-    obj = red.reduce(objective) if objective is not None else [ZERO] * red.n
-    x = _purify(red, x, sparse(obj))
+        return red.full_point(point)
+    obj = red.reduce(objective)[0] if objective is not None else [0] * red.n
+    point = _purify(red, point, obj)
     if any(obj):
-        x = _simplex(red, x, obj)
-    result = red.full_point(x)
+        point = _simplex(red, point, obj)
+    result = red.full_point(point)
     if not is_feasible(sys, result):
         raise InternalError("pivoting left the feasible region")
     return result
@@ -374,10 +457,16 @@ def iterative_rounding(
     decrease.  Returns the integral vector and one record per step.
     """
     n = len(start)
-    z = [Fraction(v) for v in start]
+    z = list(start)
     active = list(range(len(rows)))
     steps = []
-    gain = sparse(objective) if objective is not None else ()
+    gain, gain_den = scale(objective) if objective is not None else ([], 1)
+    value = None  # the objective at z, once a step has needed it
+
+    def objective_at(x):
+        nums, den = scale(x)
+        return Fraction(sum(map(mul, gain, nums)), gain_den * den)
+
     while True:
         fractional = {j for j, v in enumerate(z) if not _is_integral(v)}
         if not fractional:
@@ -400,8 +489,9 @@ def iterative_rounding(
         step = {"deleted": deleted, "kind": kind, "fractional": len(fractional)}
         line = f"round step {len(steps) + 1}: delete {label}, fractional={len(fractional)}"
         if objective is not None:
-            value = row_dot(gain, z)
-            if value < row_dot(gain, previous):
+            before = objective_at(previous) if value is None else value
+            value = objective_at(z)
+            if value < before:
                 raise InternalError("rounding objective decreased")
             step["objective"] = str(value)
             line += f", objective={value}"
@@ -417,7 +507,7 @@ def rank_of_tight_rows(sys: LinearSystem, x: Sequence[Fraction]) -> int:
     scores exactly the number of unfixed variables.
     """
     red = _Reduced(sys)
-    return exact_rank(red.dense(k) for k in red.tight(red.reduce(x)))
+    return len(_echelon(red.dense(k) for k in red.tight(red.reduce(x))))
 
 
 def is_vertex(sys: LinearSystem, x: Sequence[Fraction]) -> bool:

@@ -3,6 +3,7 @@ import json
 from conftest import triangle_instance
 from nearstable import fileformat as ff
 from nearstable.cli import build_parser, main
+from nearstable.oracle import GeneratorConfig, generate
 
 
 def write_triangle(path):
@@ -76,6 +77,25 @@ def test_gen_byte_identical(tmp_path, capsys):
     assert run(capsys, "gen", "fixtures", "--seed", "7", "-o", str(a))[0] == 0
     assert run(capsys, "gen", "fixtures", "--seed", "7", "-o", str(b))[0] == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_gen_size_options_reach_the_generator(capsys):
+    code, out, _ = run(
+        capsys, "gen", "cacq", "--seed", "5", "--max-students", "30", "--max-colleges", "10", "--max-extra-sets", "5"
+    )
+    assert code == 0
+    config = GeneratorConfig(family="cacq", seed=5, max_students=30, max_colleges=10, max_extra_sets=5)
+    assert out == ff.canonical_dumps(ff.cacq_to_doc(generate(config)))
+    # the defaults are the config's own, so a default run differs from this one
+    assert out != run(capsys, "gen", "cacq", "--seed", "5")[1]
+    code, out, _ = run(capsys, "gen", "smf", "--seed", "3", "--max-arcs", "20", "--memberships", "3")
+    assert code == 0
+    inst, flow = generate(GeneratorConfig(family="smf", seed=3, max_arcs=20, memberships=3))
+    assert out == ff.canonical_dumps(ff.smf_to_doc(inst, flow))
+    for argv, field in [(("cacq", "--max-students", "1"), "max_students"), (("smf", "--max-arcs", "0"), "max_arcs")]:
+        code, out, err = run(capsys, "gen", *argv, "--seed", "3")
+        assert code == 3 and out == ""
+        assert err.startswith("input error: generator field " + field)
 
 
 def test_gen_smf_round_verify_chain(tmp_path, capsys):

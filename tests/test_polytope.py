@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -8,6 +9,9 @@ from nearstable.errors import InternalError, PreconditionError
 from nearstable.polytope import (
     LinearRow,
     LinearSystem,
+    _advance,
+    _max_step,
+    _Reduced,
     exact_rank,
     extreme_point,
     is_feasible,
@@ -233,3 +237,128 @@ def test_warm_start_value_never_decreases():
         assert is_vertex(sys_, extreme_point(sys_, None, x0))
         # determinism
         assert extreme_point(sys_, obj, x0) == pt
+
+
+def _rational(rng, low, high):
+    return F(rng.randint(low * 6, high * 6), rng.randint(2, 6))
+
+
+def _fraction_constraints(sys_: LinearSystem):
+    """The reduced Bland-ordered constraints over Fraction, kept as an independent oracle.
+
+    Dense rows over the unfixed variables with the fixed values moved into
+    the rhs: equalities, `<=` rows, lower bounds as -x_i <= -lo_i, finite
+    upper bounds.
+    """
+    free = [j for j in range(sys_.num_vars) if j not in sys_.fixed]
+
+    def reduced(row):
+        coeffs = dict(row.coeffs)
+        shift = sum((c * sys_.fixed[j] for j, c in coeffs.items() if j in sys_.fixed), F(0))
+        return [coeffs.get(j, F(0)) for j in free], row.rhs - shift
+
+    eq = [reduced(r) for r in sys_.rows if r.relation == "eq"]
+    le = [reduced(r) for r in sys_.rows if r.relation == "le"]
+    unit = [[F(int(i == k)) for i in range(len(free))] for k in range(len(free))]
+    lower = [([-v for v in unit[i]], -sys_.lower[j]) for i, j in enumerate(free)]
+    upper = [(unit[i], sys_.upper[j]) for i, j in enumerate(free) if sys_.upper[j] is not None]
+    return free, len(eq), eq + le + lower + upper
+
+
+def _fraction_feasible(sys_: LinearSystem, x):
+    if any(x[j] != v for j, v in sys_.fixed.items()):
+        return False
+    if any(x[j] < sys_.lower[j] or (sys_.upper[j] is not None and x[j] > sys_.upper[j]) for j in range(sys_.num_vars)):
+        return False
+    for r in sys_.rows:
+        lhs = sum((c * x[j] for j, c in r.coeffs), F(0))
+        if lhs > r.rhs or (r.relation == "eq" and lhs != r.rhs):
+            return False
+    return True
+
+
+def _random_rational_system(rng):
+    """A system with rational rows, bounds and fixed values around a rational point x.
+
+    Some rows, bounds and fixed values are tight at x by construction.
+    """
+    n = rng.randint(1, 5)
+    x = [_rational(rng, 0, 2) for _ in range(n)]
+    lower = [x[j] - rng.choice([0, 0, F(1, 2), F(rng.randint(1, 5), rng.randint(2, 6))]) for j in range(n)]
+    upper = [rng.choice([None, x[j], x[j] + F(rng.randint(1, 5), rng.randint(2, 6))]) for j in range(n)]
+    fixed = {j: x[j] for j in range(n) if rng.random() < 0.3}
+    rows = []
+    for _ in range(rng.randint(0, 4)):
+        coeffs = [_rational(rng, -2, 2) if rng.random() < 0.7 else F(0) for _ in range(n)]
+        if not any(coeffs):
+            continue
+        lhs = sum((c * v for c, v in zip(coeffs, x)), F(0))
+        if rng.random() < 0.3:
+            rows.append(LinearRow(sparse(coeffs), "eq", lhs))
+        else:
+            rows.append(LinearRow(sparse(coeffs), "le", lhs + rng.choice([0, 0, _rational(rng, 0, 2)])))
+    return LinearSystem(n, tuple(rows), tuple(lower), tuple(upper), fixed=fixed), x
+
+
+def test_integer_kernel_against_fraction_evaluation():
+    """Feasibility, tightness and the step test equal Fraction evaluation on rational systems."""
+    rng = random.Random(31)
+    steps = ties = 0
+    for trial in range(400):
+        sys_, x = _random_rational_system(rng)
+        assert is_feasible(sys_, x) and _fraction_feasible(sys_, x), trial
+        moved = [v + rng.choice([0, 0, F(1, 3), F(-1, 4), F(rng.randint(-6, 6), rng.randint(2, 6))]) for v in x]
+        assert is_feasible(sys_, moved) == _fraction_feasible(sys_, moved), (trial, moved)
+
+        red = _Reduced(sys_)
+        free, num_eq, reference = _fraction_constraints(sys_)
+        assert red.free == free and red.num_eq == num_eq and len(red.constraints) == len(reference)
+        xr = [x[j] for j in free]
+        point = red.reduce(x)
+        assert [F(v, point[1]) for v in point[0]] == xr
+
+        def slack(k, at):
+            row, rhs = reference[k]
+            return rhs - sum((c * v for c, v in zip(row, at)), F(0))
+
+        assert red.tight(point) == [k for k in range(len(reference)) if k < num_eq or slack(k, xr) == 0], trial
+
+        d = [rng.randint(-3, 3) for _ in free]
+        skip = set(rng.sample(range(len(reference)), rng.randint(0, len(reference))))
+        best_t, best_k = None, None
+        for k in range(num_eq, len(reference)):
+            speed = sum((c * v for c, v in zip(reference[k][0], d)), F(0))
+            if k in skip or speed <= 0:
+                continue
+            t = slack(k, xr) / speed
+            if best_t is not None and t == best_t:
+                ties += 1
+            if best_t is None or t < best_t:
+                best_t, best_k = t, k
+        assert _max_step(red, point, d, skip) == (best_t, best_k), (trial, d, skip)
+        if best_t is not None:
+            steps += 1
+            nums, den = _advance(point, best_t, d)
+            assert [F(v, den) for v in nums] == [v + best_t * dv for v, dv in zip(xr, d)]
+            assert den == lcm(1, *(F(v, den).denominator for v in nums))
+    assert steps >= 150 and ties >= 5
+
+
+def test_rational_systems_against_vertex_enumeration():
+    """Rows with rational coefficients and rhs: the optimum is a brute-force vertex of best value."""
+    rng = random.Random(17)
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        rows = []
+        for _ in range(rng.randint(1, 3)):
+            coeffs = tuple(F(rng.randint(0, 4), rng.randint(2, 6)) for _ in range(n))
+            if any(c != 0 for c in coeffs):
+                rows.append(LinearRow(sparse(coeffs), "le", F(rng.randint(1, 9), rng.randint(2, 6))))
+        sys_ = LinearSystem(n, tuple(rows), (F(0),) * n, (F(1),) * n)
+        obj = tuple(F(rng.randint(-2, 3), rng.randint(1, 4)) for _ in range(n))
+        pt = extreme_point(sys_, obj, (F(0),) * n)
+        assert is_vertex(sys_, pt)
+        vertices = _brute_vertices(sys_)
+        assert tuple(pt) in vertices
+        value = sum(o * x for o, x in zip(obj, pt))
+        assert value == max(sum(o * x for o, x in zip(obj, v)) for v in vertices)

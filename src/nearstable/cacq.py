@@ -19,7 +19,7 @@ from typing import Mapping
 from .errors import InputError, InternalError, PreconditionError
 from .model import CacqInstance, CapacityRevision, CollegeSet, normalize_cacq, require_valid
 from .orders import break_ties
-from .polytope import ONE, ZERO, LinearRow, int_dot, iterative_rounding, scale
+from .polytope import ONE, LinearRow, int_dot, iterative_rounding, scale
 from .scarf import (
     DEFAULT_PIVOT_BUDGET,
     ScarfBuild,
@@ -92,9 +92,9 @@ def _college_sets(inst: CacqInstance) -> dict:
 
 
 def _set_loads(inst: CacqInstance, values: Mapping, college_sets: Mapping) -> dict:
-    loads = {cs.id: ZERO for cs in inst.sets}
+    loads = {cs.id: 0 for cs in inst.sets}
     for e in inst.edges:
-        value = values.get(e.id, ZERO)
+        value = values.get(e.id, 0)
         if value == 0:
             continue
         for set_id in college_sets.get(e.college, ()):
@@ -103,9 +103,9 @@ def _set_loads(inst: CacqInstance, values: Mapping, college_sets: Mapping) -> di
 
 
 def _student_loads(inst: CacqInstance, values: Mapping) -> dict:
-    loads = {s: ZERO for s in inst.students}
+    loads = {s: 0 for s in inst.students}
     for e in inst.edges:
-        value = values.get(e.id, ZERO)
+        value = values.get(e.id, 0)
         if value != 0:
             loads[e.student] += value
     return loads
@@ -185,16 +185,11 @@ def compute_cacq_quotas(inst: CacqInstance, x_star: Mapping, y: Mapping) -> Capa
         if y_loads[s] > 1:
             raise PreconditionError(f"student {s!r} holds more than one seat")
     college_sets = _college_sets(inst)
-    x_set = _set_loads(inst, x_star, college_sets)
-    y_set = _set_loads(inst, y, college_sets)
-    original = {cs.id: cs.quota for cs in inst.sets}
-    revised = {}
-    for cs in inst.sets:
-        if x_set[cs.id] == cs.quota:
-            revised[cs.id] = int(y_set[cs.id])
-        else:
-            revised[cs.id] = max(cs.quota, int(y_set[cs.id]))
-    return CapacityRevision(original=original, revised=revised)
+    return CapacityRevision.read_off(
+        {cs.id: cs.quota for cs in inst.sets},
+        _set_loads(inst, x_star, college_sets),
+        _set_loads(inst, y, college_sets),
+    )
 
 
 @dataclass(frozen=True)
@@ -217,7 +212,12 @@ def verify_cacq(inst: CacqInstance, quotas: Mapping, matching: Mapping) -> CacqR
     An edge (student, college) blocks when the student strictly improves
     and every set containing the college is below quota or admits a
     strictly worse student under its master list.  Weak orders are
-    compared directly.
+    compared directly.  The values are scaled to integers over one common
+    denominator `den`, so loads compare with `quota * den` (1 * den for a
+    student).  A full student improves exactly with the edges ranked
+    strictly above the worst edge it uses, and a full set admits exactly
+    the students its master list ranks strictly above the worst student it
+    holds; both worst ranks are found once per call.
     """
     missing = [cs.id for cs in inst.sets if cs.id not in quotas]
     if missing:
@@ -226,48 +226,38 @@ def verify_cacq(inst: CacqInstance, quotas: Mapping, matching: Mapping) -> CacqR
     if unknown:
         raise InputError(f"matching references unknown edges: {unknown}")
     values = {e.id: Fraction(matching.get(e.id, 0)) for e in inst.edges}
-    value_violations = tuple(eid for eid, v in values.items() if v < 0 or v > 1)
-    student_loads = _student_loads(inst, values)
+    nums, den = scale(list(values.values()))
+    x = dict(zip(values, nums))
+    value_violations = tuple(eid for eid, v in x.items() if v < 0 or v > den)
+    student_loads = _student_loads(inst, x)
     college_sets = _college_sets(inst)
-    set_loads = _set_loads(inst, values, college_sets)
-    student_violations = tuple(s for s in inst.students if student_loads[s] > 1)
-    quota_violations = tuple(cs.id for cs in inst.sets if set_loads[cs.id] > quotas[cs.id])
-    edge_map = inst.edge_by_id()
-    student_ranks = {s: inst.student_prefs[s].ranks() for s in inst.students}
-    assigned = {cs.id: set() for cs in inst.sets}
-    for eid, v in values.items():
-        if v > 0:
-            e = edge_map[eid]
-            for set_id in college_sets.get(e.college, ()):
-                assigned[set_id].add(e.student)
-    assigned_students = {set_id: sorted(students, key=str) for set_id, students in assigned.items()}
-    master_ranks = {cs.id: cs.master.ranks() for cs in inst.sets}
-    blocking = []
+    set_loads = _set_loads(inst, x, college_sets)
+    student_violations = tuple(s for s in inst.students if student_loads[s] > den)
+    quota_violations = tuple(cs.id for cs in inst.sets if set_loads[cs.id] > quotas[cs.id] * den)
+    # Per full student and per full set: its ranks and the worst rank it holds (-1 if none).
+    student_ranks, worst_held = {}, {}
+    for s in inst.students:
+        if student_loads[s] >= den:
+            student_ranks[s] = rank = inst.student_prefs[s].ranks()
+            worst_held[s] = max((r for eid, r in rank.items() if x[eid] > 0), default=-1)
+    master_ranks = {cs.id: cs.master.ranks() for cs in inst.sets if set_loads[cs.id] >= quotas[cs.id] * den}
+    worst_admitted = dict.fromkeys(master_ranks, -1)
     for e in inst.edges:
-        rank = student_ranks[e.student]
-        improves = student_loads[e.student] < 1 or any(
-            values[other] > 0 and rank[e.id] < rank[other]
-            for other in rank
+        if x[e.id] > 0:
+            for set_id in college_sets.get(e.college, ()):
+                if set_id in master_ranks:
+                    worst_admitted[set_id] = max(worst_admitted[set_id], master_ranks[set_id].get(e.student, -1))
+    blocking = tuple(
+        e.id
+        for e in inst.edges
+        if (e.student not in worst_held or student_ranks[e.student][e.id] < worst_held[e.student])
+        and all(
+            set_id not in master_ranks or master_ranks[set_id][e.student] < worst_admitted[set_id]
+            for set_id in college_sets.get(e.college, ())
         )
-        if not improves:
-            continue
-        all_sets_open = True
-        for set_id in college_sets.get(e.college, ()):
-            if set_loads[set_id] < quotas[set_id]:
-                continue
-            master_rank = master_ranks[set_id]
-            if any(
-                master_rank[e.student] < master_rank[s2]
-                for s2 in assigned_students[set_id]
-                if s2 in master_rank
-            ):
-                continue
-            all_sets_open = False
-            break
-        if all_sets_open:
-            blocking.append(e.id)
+    )
     return CacqReport(
-        blocking_edges=tuple(blocking),
+        blocking_edges=blocking,
         quota_violations=quota_violations,
         student_violations=student_violations,
         value_violations=value_violations,

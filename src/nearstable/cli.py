@@ -20,7 +20,7 @@ from fractions import Fraction
 from . import fileformat as ff
 from .cacq import solve_cacq, verify_cacq
 from .errors import InputError, NearstableError, ResourceLimitError, UnstableInputError
-from .model import CacqInstance, HypergraphInstance, normalize_cacq
+from .model import CacqInstance, HypergraphInstance, normalize_cacq, require_valid
 from .oracle import GeneratorConfig, enumerate_near_feasible, generate
 from .scarf import DEFAULT_PIVOT_BUDGET
 from .shm import solve_shm, verify_shm
@@ -166,6 +166,7 @@ def _cmd_round(args) -> int:
 def _cmd_verify(args) -> int:
     inst_text = _read(args.instance)
     parsed = ff.parse_document(inst_text)
+    require_valid(parsed.instance if isinstance(parsed, ff.SmfDocument) else parsed)
     try:
         sol_doc = json.loads(_read(args.solution))
     except json.JSONDecodeError as exc:

@@ -1,4 +1,4 @@
-"""Problem instances, solution vectors, capacity revisions, and validation.
+"""Problem instances, capacity revisions, and validation.
 
 Three problem families share this module:
 
@@ -47,9 +47,6 @@ class HypergraphInstance:
     def max_edge_size(self) -> int:
         """Size of the largest edge; 1 for an edgeless instance."""
         return max((len(e.vertices) for e in self.edges), default=1)
-
-    def edge_by_id(self) -> dict[Id, HyperEdge]:
-        return {e.id: e for e in self.edges}
 
     def incident(self) -> dict[Id, list[Id]]:
         """Vertex id -> incident edge ids, in declared edge order."""
@@ -102,9 +99,6 @@ class CacqInstance:
     def max_memberships(self) -> int:
         """Largest number of sets any single college belongs to."""
         return max((len(m) for m in self.memberships.values()), default=1)
-
-    def edge_by_id(self) -> dict[Id, CacqEdge]:
-        return {e.id: e for e in self.edges}
 
     def student_edges(self) -> dict[Id, list[Id]]:
         out: dict[Id, list[Id]] = {s: [] for s in self.students}
@@ -166,18 +160,25 @@ class FlowInstance:
         return out
 
 
-# Solution vectors are plain dicts: edge id -> value for matchings, and
-# (arc id, commodity index) -> value for flows.
-FractionalVector = dict
-IntegralVector = dict
-
-
 @dataclass(frozen=True)
 class CapacityRevision:
     """Original vs. revised capacity values for one family of entities."""
 
     original: dict
     revised: dict
+
+    @classmethod
+    def read_off(cls, original, fractional_loads, rounded_loads) -> CapacityRevision:
+        """The revision the rounded loads call for.
+
+        An entry tight at the fractional point takes its rounded load; any
+        other entry keeps its capacity or grows to its rounded load.
+        """
+        revised = {}
+        for k, q in original.items():
+            load = int(rounded_loads[k])
+            revised[k] = load if fractional_loads[k] == q else max(q, load)
+        return cls(original=dict(original), revised=revised)
 
     def max_deviation(self) -> int:
         return max(

@@ -48,14 +48,6 @@ class WeakOrder:
                 out[alt] = i
         return out
 
-    def strictly_prefers(self, a: Alt, b: Alt) -> bool:
-        r = self.ranks()
-        return r[a] < r[b]
-
-    def weakly_prefers(self, a: Alt, b: Alt) -> bool:
-        r = self.ranks()
-        return r[a] <= r[b]
-
 
 def strict_order(alts: Iterable[Alt]) -> WeakOrder:
     """Build a strict order from best to worst."""

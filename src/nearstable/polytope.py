@@ -1,18 +1,19 @@
 """Exact rational linear algebra, linear programming and iterative rounding.
 
 A row is a tuple of (column, nonzero Fraction) pairs in increasing column
-order; the Scarf matrix and the LP's constraints both use it.  `row_dot`
-evaluates one at a point, and `sparse` is the one adapter from a dense
-coefficient vector.
+order; the Scarf matrix and the LP's constraints both use it, and `sparse`
+is the one adapter from a dense coefficient vector.
 
-The LP evaluates rows in integers.  `scale` writes rational values as
-integer numerators over the lcm of their denominators: a point is scaled
-once, a `LinearRow` and its rhs are scaled once (`LinearRow.scaled`, made
-on first use), and the reduced constraints, bounds and fixed-variable
-shifts are stored scaled.  Every scale factor is positive, so signs,
-tightness and the ratios of the step test are those of the rational rows,
-and directions and multipliers change only by positive factors: the pivot
-path and every returned point are the ones Fraction arithmetic gives.
+Rows are evaluated in integers, by `int_dot` on a row scaled to integers.
+`scale` writes rational values as integer numerators over the lcm of their
+denominators: a point is scaled once, a `LinearRow` and its rhs are scaled
+once (`LinearRow.scaled`, made on first use; the Scarf problem keeps the
+same for its rows and bounds), and the LP's reduced constraints, bounds and
+fixed-variable shifts are stored scaled.  Every scale factor is positive,
+so signs, tightness and the ratios of the step test are those of the
+rational rows, and directions and multipliers change only by positive
+factors: the pivot path and every returned point are the ones Fraction
+arithmetic gives.
 
 All elimination runs through one integer kernel, `_echelon`: integer rows
 are reduced in input order without division and divided by their content,
@@ -66,10 +67,6 @@ Point = tuple[list[int], int]
 def sparse(dense: Iterable) -> Row:
     """The row of a dense coefficient vector: its nonzero entries by column."""
     return tuple((j, Fraction(v)) for j, v in enumerate(dense) if v != 0)
-
-
-def row_dot(row: Row, x: Sequence[Fraction]) -> Fraction:
-    return sum((c * x[j] for j, c in row), ZERO)
 
 
 def scale(values: Sequence) -> Point:

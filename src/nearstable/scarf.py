@@ -8,6 +8,13 @@ vector d; and one strict order per row over that row's columns.
 for every column, a row that dominates it: the row is tight at x and
 weakly prefers every positively-used column.
 
+The problem keeps one integer form of its rows and bounds (`scaled`: all
+of them times the lcm of their denominators), read by the tableau and by
+the two self-checks.  `verify_dominating` and `certify_extreme` scale the
+point once and evaluate every row in integers; a tight row witnesses the
+columns ranked no better than its worst used column, and the tight rows
+restricted to the support go straight to the elimination kernel.
+
 The pivoting works on the extended matrix [I | Q] in standard form: slack
 column i is ranked strictly worst in row i and above every real column in
 the other rows.  Cardinal (simplex) steps use a lexicographic ratio test on
@@ -23,12 +30,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from operator import gt
 from typing import Callable, Sequence
 
 from .errors import InputError, InternalError, ResourceLimitError
-from .polytope import ONE, ZERO, Row, exact_rank, row_dot, sparse
+from .polytope import ONE, ZERO, IntRow, Row, _echelon, int_dot, scale, sparse
 
 DEFAULT_PIVOT_BUDGET = 10_000_000
 
@@ -73,6 +81,13 @@ class ScarfProblem:
     def num_rows(self) -> int:
         return len(self.rows)
 
+    @cached_property
+    def scaled(self) -> tuple[tuple[IntRow, ...], tuple[int, ...]]:
+        """Rows and bounds times the lcm of all their denominators, in integers."""
+        factor = lcm(*[v.denominator for row in self.rows for _, v in row], *[b.denominator for b in self.bounds])
+        rows = tuple(tuple((j, v.numerator * (factor // v.denominator)) for j, v in row) for row in self.rows)
+        return rows, tuple(b.numerator * (factor // b.denominator) for b in self.bounds)
+
 
 def make_problem(rows, bounds, row_orders) -> ScarfProblem:
     """A problem from a dense matrix (rows of equal length)."""
@@ -91,9 +106,6 @@ def make_problem(rows, bounds, row_orders) -> ScarfProblem:
 class DominatingPoint:
     x: tuple[Fraction, ...]
     dominating_row: dict
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(j for j, v in enumerate(self.x) if v != 0)
 
 
 @dataclass(frozen=True)
@@ -142,33 +154,28 @@ class DominationReport:
         return self.nonnegative and self.within_bounds and all(self.witnesses)
 
 
-def row_value(problem: ScarfProblem, i: int, x: Sequence[Fraction]) -> Fraction:
-    return row_dot(problem.rows[i], x)
-
-
 def verify_dominating(problem: ScarfProblem, x: Sequence[Fraction]) -> DominationReport:
     """All valid witness rows per column, straight from the definitions.
 
     A row i witnesses column j when Q_ij > 0, the row is tight at x, and
-    every column with positive contribution in row i is weakly preferred
-    to j by that row's order.
+    every column of row i that x uses (a nonzero value) is weakly
+    preferred to j by that row's order.
     """
-    n, m = problem.num_rows, problem.num_cols
-    x = [Fraction(v) for v in x]
-    nonnegative = all(v >= 0 for v in x)
-    values = [row_value(problem, i, x) for i in range(n)]
-    tight = [values[i] == problem.bounds[i] for i in range(n)]
-    within = all(values[i] <= problem.bounds[i] for i in range(n))
-    witnesses = [[] for _ in range(m)]
+    nums, den = scale([Fraction(v) for v in x])
+    rows, bounds = problem.scaled
+    values = [int_dot(row, nums) for row in rows]
+    witnesses = [[] for _ in range(problem.num_cols)]
     for i, order in enumerate(problem.row_orders):
-        if not tight[i]:
+        if values[i] != bounds[i] * den:
             continue
         # Row i witnesses exactly the columns ranked no better than its worst used one.
-        worst = max((p for p, j in enumerate(order) if x[j] != 0), default=0)
+        worst = max((p for p, j in enumerate(order) if nums[j]), default=0)
         for j in order[worst:]:
             witnesses[j].append(i)
     return DominationReport(
-        nonnegative=nonnegative, within_bounds=within, witnesses=tuple(tuple(rows) for rows in witnesses)
+        nonnegative=all(v >= 0 for v in nums),
+        within_bounds=all(value <= bound * den for value, bound in zip(values, bounds)),
+        witnesses=tuple(map(tuple, witnesses)),
     )
 
 
@@ -180,22 +187,25 @@ def certify_extreme(problem: ScarfProblem, x: Sequence[Fraction]) -> bool:
     The unit rows are eliminated up front: that rank is the number of zero
     coordinates plus the rank of the tight rows restricted to the support
     S of x, so x is a vertex iff the restricted rows have rank |S|.  The
-    rank is computed fraction-free by `exact_rank`.
+    integer rows go straight to the elimination kernel.
     """
-    n, m = problem.num_rows, problem.num_cols
-    x = [Fraction(v) for v in x]
-    if any(v < 0 for v in x):
+    nums, den = scale([Fraction(v) for v in x])
+    if any(v < 0 for v in nums):
         raise InputError("point has negative entries")
-    support = [j for j in range(m) if x[j] != 0]
+    position = {j: p for p, j in enumerate(j for j, v in enumerate(nums) if v)}
+    rows, bounds = problem.scaled
     vectors = []
-    for i in range(n):
-        value = row_value(problem, i, x)
-        if value > problem.bounds[i]:
+    for i, row in enumerate(rows):
+        value, limit = int_dot(row, nums), bounds[i] * den
+        if value > limit:
             raise InputError(f"point violates row {i}")
-        if value == problem.bounds[i]:
-            coeffs = dict(problem.rows[i])
-            vectors.append([coeffs.get(j, ZERO) for j in support])
-    return exact_rank(vectors) == len(support)
+        if value == limit:
+            vector = [0] * len(position)
+            for j, c in row:
+                if j in position:
+                    vector[position[j]] = c
+            vectors.append(vector)
+    return len(_echelon(vectors)) == len(position)
 
 
 # ---------------------------------------------------------------------------
@@ -240,19 +250,16 @@ class _Tableau:
 
     def __init__(self, problem: ScarfProblem):
         n, m = problem.num_rows, problem.num_cols
-        scale = lcm(
-            *[v.denominator for row in problem.rows for _, v in row],
-            *[b.denominator for b in problem.bounds],
-        )
+        rows, bounds = problem.scaled
         self.n, self.m = n, m
         self.mat = []
         for i in range(n):
             row = [0] * (n + m)
-            for j, v in problem.rows[i]:
-                row[n + j] = v.numerator * (scale // v.denominator)
+            for j, v in rows[i]:
+                row[n + j] = v
             row[i] = 1
             self.mat.append(row)
-        self.rhs = [(scale * b).numerator for b in problem.bounds]
+        self.rhs = list(bounds)
         self.den = 1
         self.basis = list(range(n))
 

@@ -26,7 +26,7 @@ from typing import Mapping
 from .errors import InputError, InternalError, PreconditionError
 from .model import CapacityRevision, HyperEdge, HypergraphInstance, require_valid
 from .orders import WeakOrder, break_ties
-from .polytope import ONE, ZERO, LinearRow, _is_integral, iterative_rounding, sparse
+from .polytope import ONE, LinearRow, _is_integral, iterative_rounding, scale, sparse
 from .scarf import (
     DEFAULT_PIVOT_BUDGET,
     ScarfBuild,
@@ -104,9 +104,9 @@ def build_shm_scarf(inst: HypergraphInstance) -> ScarfBuild:
 
 
 def _vertex_loads(inst: HypergraphInstance, values: Mapping) -> dict:
-    loads = {v: ZERO for v in inst.vertices}
+    loads = {v: 0 for v in inst.vertices}
     for e in inst.edges:
-        value = values.get(e.id, ZERO)
+        value = values.get(e.id, 0)
         if value == 0:
             continue
         for v in e.vertices:
@@ -173,16 +173,7 @@ def compute_shm_capacities(inst: HypergraphInstance, x_star: Mapping, y: Mapping
         xv = Fraction(x_star[e.id])
         if _is_integral(xv) and y[e.id] != xv:
             raise PreconditionError(f"rounded vector changes integral component {e.id!r}")
-    x_loads = _vertex_loads(inst, x_star)
-    y_loads = _vertex_loads(inst, y)
-    revised = {}
-    for v in inst.vertices:
-        q = inst.capacities[v]
-        if x_loads[v] == q:
-            revised[v] = int(y_loads[v])
-        else:
-            revised[v] = max(q, int(y_loads[v]))
-    return CapacityRevision(original=dict(inst.capacities), revised=revised)
+    return CapacityRevision.read_off(inst.capacities, _vertex_loads(inst, x_star), _vertex_loads(inst, y))
 
 
 def strip_gadget(matching: Mapping, gadget_ids) -> dict:
@@ -206,7 +197,10 @@ def verify_shm(inst: HypergraphInstance, capacities: Mapping, matching: Mapping)
 
     An edge blocks when its own value is below one and every member vertex
     is either unsaturated or holds an edge it strictly disprefers.  Works
-    for fractional and integral matchings alike.
+    for fractional and integral matchings alike.  The values are scaled to
+    integers over one common denominator `den`, so loads compare with
+    `capacity * den`.  A saturated vertex objects to exactly the edges it
+    ranks strictly above the worst edge it uses, found once per vertex.
     """
     missing = [v for v in inst.vertices if v not in capacities]
     if missing:
@@ -215,35 +209,25 @@ def verify_shm(inst: HypergraphInstance, capacities: Mapping, matching: Mapping)
     if unknown:
         raise InputError(f"matching references unknown edges: {unknown}")
     values = {e.id: Fraction(matching.get(e.id, 0)) for e in inst.edges}
-    value_violations = tuple(
-        eid for eid, v in values.items() if v < 0 or v > 1
-    )
-    loads = _vertex_loads(inst, values)
-    capacity_violations = tuple(
-        v for v in inst.vertices if loads[v] > capacities[v]
-    )
-    blocking = []
-    ranks = {v: inst.preferences[v].ranks() for v in inst.vertices}
+    nums, den = scale(list(values.values()))
+    x = dict(zip(values, nums))
+    value_violations = tuple(eid for eid, v in x.items() if v < 0 or v > den)
+    loads = _vertex_loads(inst, x)
+    capacity_violations = tuple(v for v in inst.vertices if loads[v] > capacities[v] * den)
     incident = inst.incident()
-    for e in inst.edges:
-        if values[e.id] >= 1:
-            continue
-        blocks = True
-        for v in e.vertices:
-            if loads[v] < capacities[v]:
-                continue  # unsaturated: this vertex does not object
-            rank = ranks[v]
-            has_worse = any(
-                values[other] > 0 and rank[other] > rank[e.id]
-                for other in incident[v]
-            )
-            if not has_worse:
-                blocks = False
-                break
-        if blocks:
-            blocking.append(e.id)
+    # Per saturated vertex: its ranks and the worst rank it holds (-1 if none).
+    ranks, worst = {}, {}
+    for v in inst.vertices:
+        if loads[v] >= capacities[v] * den:
+            ranks[v] = rank = inst.preferences[v].ranks()
+            worst[v] = max((rank[eid] for eid in incident[v] if x[eid] > 0), default=-1)
+    blocking = tuple(
+        e.id
+        for e in inst.edges
+        if x[e.id] < den and all(v not in worst or ranks[v][e.id] < worst[v] for v in e.vertices)
+    )
     return ShmReport(
-        blocking_edges=tuple(blocking),
+        blocking_edges=blocking,
         capacity_violations=capacity_violations,
         value_violations=value_violations,
     )

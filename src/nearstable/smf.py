@@ -424,24 +424,19 @@ def compute_flow_capacities(inst: FlowInstance, flow: Mapping, rounded: Mapping)
     grow, and only up to the rounded usage.
     """
     k = inst.num_commodities
-    for a in inst.arcs:
-        for j in range(1, k + 1):
-            if flow_value(flow, a.id, j) == 0 and rounded.get((a.id, j), 0) != 0:
-                raise PreconditionError(f"support containment fails on arc {a.id!r} commodity {j}")
-            if not _is_integral(Fraction(rounded.get((a.id, j), 0))):
-                raise PreconditionError("rounded flow must be integral")
-    per_commodity = {}
-    aggregate = {}
-    for a in inst.arcs:
-        total_f = sum((flow_value(flow, a.id, j) for j in range(1, k + 1)), ZERO)
-        total_g = sum(int(rounded.get((a.id, j), 0)) for j in range(1, k + 1))
-        for j in range(1, k + 1):
-            cj = inst.commodity_capacity[(a.id, j)]
-            gj = int(rounded.get((a.id, j), 0))
-            per_commodity[(a.id, j)] = gj if flow_value(flow, a.id, j) == cj else max(gj, cj)
-        c = inst.capacity[a.id]
-        aggregate[a.id] = total_g if total_f == c else max(total_g, c)
-    return FlowCapacities(aggregate=aggregate, per_commodity=per_commodity)
+    keys = [(a.id, j) for a in inst.arcs for j in range(1, k + 1)]
+    for arc, j in keys:
+        if flow_value(flow, arc, j) == 0 and rounded.get((arc, j), 0) != 0:
+            raise PreconditionError(f"support containment fails on arc {arc!r} commodity {j}")
+        if not _is_integral(Fraction(rounded.get((arc, j), 0))):
+            raise PreconditionError("rounded flow must be integral")
+    f = {key: flow_value(flow, *key) for key in keys}
+    g = {key: int(rounded.get(key, 0)) for key in keys}
+    per_commodity = CapacityRevision.read_off({key: inst.commodity_capacity[key] for key in keys}, f, g)
+    total_f = {a.id: sum((f[(a.id, j)] for j in range(1, k + 1)), ZERO) for a in inst.arcs}
+    total_g = {a.id: sum(g[(a.id, j)] for j in range(1, k + 1)) for a in inst.arcs}
+    aggregate = CapacityRevision.read_off({a.id: inst.capacity[a.id] for a in inst.arcs}, total_f, total_g)
+    return FlowCapacities(aggregate=aggregate.revised, per_commodity=per_commodity.revised)
 
 
 @dataclass(frozen=True)

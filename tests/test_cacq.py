@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import deferred_acceptance, overlapping_sets_instance, two_by_two_cacq
+from conftest import cyclic_sets_cacq, deferred_acceptance, overlapping_sets_instance, two_by_two_cacq
 from nearstable.cacq import (
+    CacqReport,
     break_cacq_ties,
     build_cacq_scarf,
     compute_cacq_quotas,
@@ -254,6 +255,80 @@ def test_classical_admission_da_outcome_stable():
     da_edges = deferred_acceptance(men, women)
     report = verify_cacq(norm, quotas, {eid: 1 for eid in da_edges})
     assert report.ok
+
+
+def _reference_verify_cacq(inst, quotas, matching):
+    """Blocking by rescanning every used alternative over Fraction, kept as an independent oracle.
+
+    This is the verifier `verify_cacq` replaced: loads are Fraction sums
+    compared with the quotas, a student improves when some used edge ranks
+    strictly below the candidate, and each full set containing the college
+    looks for a strictly worse admitted student.
+    """
+    values = {e.id: Fraction(matching.get(e.id, 0)) for e in inst.edges}
+    value_violations = tuple(eid for eid, v in values.items() if v < 0 or v > 1)
+    sets_of = {c: [cs for cs in inst.sets if c in cs.colleges] for c in inst.colleges}
+    student_loads = {s: F(0) for s in inst.students}
+    set_loads = {cs.id: F(0) for cs in inst.sets}
+    assigned = {cs.id: set() for cs in inst.sets}
+    for e in inst.edges:
+        student_loads[e.student] += values[e.id]
+        for cs in sets_of[e.college]:
+            set_loads[cs.id] += values[e.id]
+            if values[e.id] > 0:
+                assigned[cs.id].add(e.student)
+    student_violations = tuple(s for s in inst.students if student_loads[s] > 1)
+    quota_violations = tuple(cs.id for cs in inst.sets if set_loads[cs.id] > quotas[cs.id])
+    student_ranks = {s: inst.student_prefs[s].ranks() for s in inst.students}
+    master_ranks = {cs.id: cs.master.ranks() for cs in inst.sets}
+    blocking = []
+    for e in inst.edges:
+        rank = student_ranks[e.student]
+        improves = student_loads[e.student] < 1 or any(values[other] > 0 and rank[e.id] < rank[other] for other in rank)
+        if not improves:
+            continue
+        all_sets_open = True
+        for cs in sets_of[e.college]:
+            if set_loads[cs.id] < quotas[cs.id]:
+                continue
+            master_rank = master_ranks[cs.id]
+            if any(master_rank[e.student] < master_rank[s2] for s2 in assigned[cs.id] if s2 in master_rank):
+                continue
+            all_sets_open = False
+            break
+        if all_sets_open:
+            blocking.append(e.id)
+    return CacqReport(tuple(blocking), quota_violations, student_violations, value_violations)
+
+
+def test_verify_cacq_against_fraction_reference():
+    """Equal reports on weak orders, zero quotas, overlapping sets, mixed denominators and overloads."""
+    rng = random.Random(909)
+    pool = [0, 0, 1, 1, F(1, 2), F(1, 3), F(2, 3), F(1, 4), F(3, 4), F(1, 6), F(5, 6), F(2, 5), F(-1, 3), F(5, 4), 2]
+    seen = {"blocking": 0, "quota": 0, "student": 0, "value": 0, "fractional full": 0}
+    for trial in range(600):
+        if trial % 3:
+            inst = normalize_cacq(rand_cacq(rng, max_s=6, max_c=5))
+        else:
+            inst = normalize_cacq(cyclic_sets_cacq(trial) if trial % 2 else overlapping_sets_instance())
+        if validate(inst):
+            continue
+        matching = {e.id: rng.choice(pool) for e in inst.edges if rng.random() < 0.7}
+        set_loads = {
+            cs.id: sum((F(matching.get(e.id, 0)) for e in inst.edges if e.college in cs.colleges), F(0))
+            for cs in inst.sets
+        }
+        quotas = {cs.id: max(rng.choice([0, 1, 2, cs.quota, int(set_loads[cs.id])]), 0) for cs in inst.sets}
+        report = verify_cacq(inst, quotas, matching)
+        assert report == _reference_verify_cacq(inst, quotas, matching), (trial, matching, quotas)
+        seen["blocking"] += bool(report.blocking_edges)
+        seen["quota"] += bool(report.quota_violations)
+        seen["student"] += bool(report.student_violations)
+        seen["value"] += bool(report.value_violations)
+        seen["fractional full"] += any(
+            set_loads[cs.id] >= quotas[cs.id] and set_loads[cs.id].denominator > 1 for cs in inst.sets
+        )
+    assert min(seen.values()) > 50, seen
 
 
 # -- full pipeline -------------------------------------------------------------

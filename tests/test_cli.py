@@ -72,6 +72,48 @@ def test_verify_rejects_blocking_solution(tmp_path, capsys):
     assert payload["certificate"]["verifier"]["blocking_edges"] == ["bc"]
 
 
+SOLVE = {"shm": ("solve", "shm"), "cacq": ("solve", "cacq"), "smf": ("round", "smf")}
+
+
+def _verify_after_edit(tmp_path, capsys, family, gen_args, edit):
+    """Generate and solve an instance, edit the instance file, then verify the edited file against the solution."""
+    inst, sol = tmp_path / "inst.json", tmp_path / "sol.json"
+    assert run(capsys, "gen", family, *gen_args, "-o", str(inst))[0] == 0
+    assert run(capsys, *SOLVE[family], str(inst), "-o", str(sol))[0] == 0
+    doc = json.loads(inst.read_text())
+    edit(doc)
+    inst.write_text(ff.canonical_dumps(doc), encoding="utf-8")
+    return run(capsys, "verify", str(inst), str(sol))
+
+
+def test_verify_rejects_invalid_cacq_instance(tmp_path, capsys):
+    def edit(doc):
+        assert doc["college_sets"][0]["id"] == "F0"
+        doc["college_sets"][0]["colleges"].append("nowhere")
+
+    code, out, err = _verify_after_edit(tmp_path, capsys, "cacq", ("--seed", "3"), edit)
+    assert code == 3 and out == ""
+    assert err.startswith("input error: F0: dangling-reference: unknown college 'nowhere'")
+
+
+def test_verify_rejects_invalid_shm_instance(tmp_path, capsys):
+    def edit(doc):
+        doc["edges"][0]["vertices"].append("ghost")
+
+    code, out, err = _verify_after_edit(tmp_path, capsys, "shm", ("--seed", "4"), edit)
+    assert code == 3 and out == ""
+    assert err.startswith("input error: ") and "dangling-reference: unknown vertex 'ghost'" in err
+
+
+def test_verify_rejects_invalid_smf_instance(tmp_path, capsys):
+    def edit(doc):
+        doc["arcs"][0]["head"] = "ghost"
+
+    code, out, err = _verify_after_edit(tmp_path, capsys, "smf", ("--seed", "3", "--commodities", "2"), edit)
+    assert code == 3 and out == ""
+    assert err.startswith("input error: ") and "dangling-reference: unknown head 'ghost'" in err
+
+
 def test_gen_byte_identical(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert run(capsys, "gen", "fixtures", "--seed", "7", "-o", str(a))[0] == 0

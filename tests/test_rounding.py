@@ -2,7 +2,9 @@
 
 The digests pin every trace line (pivot and `round step` lines), the
 `rounding_steps` records and the canonical certificate, so a change to the
-rounding path or to what it certifies shows up here.
+rounding path or to what it certifies shows up here.  `SMF_PINNED` does the
+same for generated flows that round, in both modes, with `round commodity`
+trace lines.
 """
 
 import hashlib
@@ -19,7 +21,9 @@ from conftest import (
 from nearstable import fileformat as ff
 from nearstable.cacq import solve_cacq
 from nearstable.model import normalize_cacq, validate
+from nearstable.oracle import GeneratorConfig, generate
 from nearstable.shm import solve_shm
+from nearstable.smf import round_stable_flow
 
 CASES = {
     "triangle": triangle_instance,
@@ -48,6 +52,28 @@ PINNED = {
 }
 
 
+# (commodities, generator seed, mode) -> digest; every case rounds and revises a capacity.
+SMF_PINNED = {
+    (2, 17, "default"): "c431371ac96cd8845b1ecbb94a57f114838755b6d85fb529c5d2084c66655c52",
+    (2, 17, "balanced"): "e4e7c416e1846f91ce66abb334a8d5d265f41350ad4e107dd8ac7039695d6643",
+    (2, 34, "default"): "f50d88112b37dd21d0ae790f8e185ee5b6d431ef250522d209bb4cbcd82d9aa9",
+    (2, 34, "balanced"): "736953a9454a83acbbdbc304a4a1e2e2fab5c2e0a2febedf04441478424aa4fa",
+    (3, 5, "default"): "1e1d357c82de0c8a886edf755f2ac4dec8864fca3d6733530f9decabad5e0662",
+    (3, 5, "balanced"): "a0160ad7e42afb260fc0a3e032cd841f750b016b27127d1957cb87fff2352335",
+    (3, 22, "default"): "43c8a7357e9cbc79ad112c7ab579466cfe4d12a6d5c5a11a57718ca2a8f13d08",
+    (3, 22, "balanced"): "1249ccdf157378b225e7cc039159602534a0ba6cb30ef79ec0c242c279b7acb7",
+}
+
+
+def _digest(lines, result):
+    digest = hashlib.sha256()
+    for line in lines:
+        digest.update(line.encode("utf-8") + b"\n")
+    digest.update(ff.canonical_dumps(result.rounding_steps).encode("utf-8"))
+    digest.update(ff.canonical_dumps(result.certificate).encode("utf-8"))
+    return digest.hexdigest()
+
+
 def _solve(name):
     inst = CASES[name]()
     assert validate(inst) == []
@@ -61,12 +87,17 @@ def test_rounding_path_pinned(name):
     _, result, lines = _solve(name)
     assert result.rounding_steps
     assert sum(line.startswith("round step ") for line in lines) == len(result.rounding_steps)
-    digest = hashlib.sha256()
-    for line in lines:
-        digest.update(line.encode("utf-8") + b"\n")
-    digest.update(ff.canonical_dumps(result.rounding_steps).encode("utf-8"))
-    digest.update(ff.canonical_dumps(result.certificate).encode("utf-8"))
-    assert digest.hexdigest() == PINNED[name]
+    assert _digest(lines, result) == PINNED[name]
+
+
+@pytest.mark.parametrize("k,seed,mode", sorted(SMF_PINNED))
+def test_smf_rounding_path_pinned(k, seed, mode):
+    inst, flow = generate(GeneratorConfig(family="smf", seed=seed, commodities=k))
+    lines = []
+    result = round_stable_flow(inst, flow, balanced=mode == "balanced", trace=lines.append)
+    assert result.rounding_steps and len(lines) == len(result.rounding_steps)
+    assert result.revision.max_deviation() == 1
+    assert _digest(lines, result) == SMF_PINNED[(k, seed, mode)]
 
 
 @pytest.mark.parametrize("seed", [42, 48, 49, 51])

@@ -12,10 +12,10 @@ from nearstable.errors import InputError, ResourceLimitError
 from nearstable.oracle import GeneratorConfig, generate
 from nearstable.polytope import exact_rank, solve_square
 from nearstable.scarf import (
+    DominationReport,
     ScarfProblem,
     certify_extreme,
     make_problem,
-    row_value,
     solve_scarf,
     verify_dominating,
 )
@@ -72,6 +72,11 @@ def test_triangle_gives_half_point_with_expected_witnesses():
     assert point.dominating_row == {0: 1, 1: 2, 2: 0}
 
 
+def row_value(problem: ScarfProblem, i: int, x) -> Fraction:
+    """Row i of the problem at x, over Fraction."""
+    return sum((c * x[j] for j, c in problem.rows[i]), F(0))
+
+
 def _dense(row, m):
     """A problem row's (column, value) pairs as a dense list of length m."""
     vec = [F(0)] * m
@@ -119,6 +124,69 @@ def test_verify_dominating_passes_on_half_point():
     problem = triangle_problem()
     report = verify_dominating(problem, [F(1, 2)] * 3)
     assert report.ok
+
+
+def _reference_dominating(problem: ScarfProblem, x) -> DominationReport:
+    """`verify_dominating` from its definition over Fraction, kept as an independent oracle.
+
+    Row i witnesses column j when Q_ij > 0, row i is tight at x, and every
+    column of row i that x uses (nonzero value) is weakly preferred to j.
+    """
+    x = [F(v) for v in x]
+    values = [row_value(problem, i, x) for i in range(problem.num_rows)]
+    witnesses = []
+    for j in range(problem.num_cols):
+        rows = []
+        for i, row in enumerate(problem.rows):
+            coeffs = dict(row)
+            position = {k: p for p, k in enumerate(problem.row_orders[i])}
+            if coeffs.get(j, 0) > 0 and values[i] == problem.bounds[i]:
+                if all(position[k] <= position[j] for k in coeffs if x[k] != 0):
+                    rows.append(i)
+        witnesses.append(tuple(rows))
+    return DominationReport(
+        nonnegative=all(v >= 0 for v in x),
+        within_bounds=all(v <= b for v, b in zip(values, problem.bounds)),
+        witnesses=tuple(witnesses),
+    )
+
+
+def test_verify_dominating_against_definition():
+    """Arbitrary rational points of random rational problems, often tight on a chosen row."""
+    rng = random.Random(4242)
+    entries = [0, 0, 0, 1, 2, F(1, 2), F(2, 3), F(5, 7), F(3, 4)]
+    coords = [0, 0, 1, F(1, 2), F(1, 3), F(2, 5), F(3, 4), F(5, 6), F(7, 3), F(-1, 2)]
+    seen = {"witness": 0, "fractional tight": 0, "ok": 0, "not within": 0, "negative": 0}
+    for trial in range(300):
+        n, m = rng.randint(1, 5), rng.randint(1, 5)
+        rows = [[rng.choice(entries) for _ in range(m)] for _ in range(n)]
+        for j in range(m):
+            if all(rows[i][j] == 0 for i in range(n)):
+                rows[rng.randrange(n)][j] = F(3, 2)
+        bounds = [rng.choice([1, 2, F(3, 2), F(5, 3), F(7, 4), F(1, 3)]) for _ in range(n)]
+        orders = []
+        for row in rows:
+            order = [j for j in range(m) if row[j] != 0]
+            rng.shuffle(order)
+            orders.append(tuple(order))
+        problem = make_problem(rows, bounds, orders)
+        points = [solve_scarf(problem).x]
+        for _ in range(6):
+            x = [F(rng.choice(coords)) for _ in range(m)]
+            i = rng.randrange(n)
+            value = row_value(problem, i, x)
+            if value > 0 and rng.random() < 0.8:
+                x = [v * problem.bounds[i] / value for v in x]
+            points.append(x)
+        for x in points:
+            report = verify_dominating(problem, x)
+            assert report == _reference_dominating(problem, x), (trial, x)
+            seen["witness"] += any(report.witnesses)
+            seen["fractional tight"] += any(report.witnesses) and any(F(v).denominator > 1 for v in x)
+            seen["ok"] += report.ok
+            seen["not within"] += not report.within_bounds
+            seen["negative"] += not report.nonnegative
+    assert min(seen.values()) > 50, seen
 
 
 def test_certify_extreme_examples():

@@ -10,6 +10,7 @@ from nearstable.oracle import enumerate_near_feasible, enumerate_stable
 from nearstable.orders import WeakOrder
 from nearstable.scarf import solve_scarf, verify_dominating
 from nearstable.shm import (
+    ShmReport,
     add_saturation_gadget,
     break_instance_ties,
     build_shm_scarf,
@@ -278,6 +279,60 @@ def test_verifier_handles_weak_orders():
     # with everything tied, holding either edge is stable
     assert verify_shm(inst, inst.capacities, {"e0": 1}).ok
     assert verify_shm(inst, inst.capacities, {"e1": 1}).ok
+
+
+def _reference_verify_shm(inst, capacities, matching):
+    """Blocking by rescanning every used edge over Fraction, kept as an independent oracle.
+
+    This is the verifier `verify_shm` replaced: loads are Fraction sums
+    compared with the capacities, and each (edge, saturated vertex) pair
+    looks for a strictly worse edge held.
+    """
+    values = {e.id: Fraction(matching.get(e.id, 0)) for e in inst.edges}
+    value_violations = tuple(eid for eid, v in values.items() if v < 0 or v > 1)
+    loads = {v: F(0) for v in inst.vertices}
+    for e in inst.edges:
+        for v in e.vertices:
+            loads[v] += values[e.id]
+    capacity_violations = tuple(v for v in inst.vertices if loads[v] > capacities[v])
+    ranks = {v: inst.preferences[v].ranks() for v in inst.vertices}
+    incident = inst.incident()
+    blocking = []
+    for e in inst.edges:
+        if values[e.id] >= 1:
+            continue
+        blocks = True
+        for v in e.vertices:
+            if loads[v] < capacities[v]:
+                continue  # unsaturated: this vertex does not object
+            rank = ranks[v]
+            if not any(values[other] > 0 and rank[other] > rank[e.id] for other in incident[v]):
+                blocks = False
+                break
+        if blocks:
+            blocking.append(e.id)
+    return ShmReport(tuple(blocking), capacity_violations, value_violations)
+
+
+def test_verify_shm_against_fraction_reference():
+    """Equal reports on weak orders, zero capacities, mixed denominators, values outside [0, 1] and overloads."""
+    rng = random.Random(808)
+    pool = [0, 0, 1, 1, F(1, 2), F(1, 3), F(2, 3), F(1, 4), F(3, 4), F(1, 6), F(5, 6), F(2, 5), F(-1, 3), F(5, 4), 2]
+    seen = {"blocking": 0, "capacity": 0, "value": 0, "fractional saturated": 0}
+    for trial in range(600):
+        inst = rand_instance(rng, tie_rate=0.4)
+        matching = {e.id: rng.choice(pool) for e in inst.edges if rng.random() < 0.85}
+        loads = {v: sum((F(matching.get(e.id, 0)) for e in inst.edges if v in e.vertices), F(0)) for v in inst.vertices}
+        capacities = {v: max(rng.choice([0, 1, 2, int(loads[v]), int(loads[v]) + 1]), 0) for v in inst.vertices}
+        report = verify_shm(inst, capacities, matching)
+        assert report == _reference_verify_shm(inst, capacities, matching), (trial, matching, capacities)
+        seen["blocking"] += bool(report.blocking_edges)
+        seen["capacity"] += bool(report.capacity_violations)
+        seen["value"] += bool(report.value_violations)
+        seen["fractional saturated"] += any(
+            loads[v] >= capacities[v] and loads[v].denominator > 1 for v in inst.vertices
+        )
+    assert min(seen.values()) > 50, seen
 
 
 # -- the full pipeline --------------------------------------------------------

@@ -19,7 +19,7 @@ from typing import Mapping
 from .errors import InputError, InternalError, PreconditionError
 from .model import CacqInstance, CapacityRevision, CollegeSet, normalize_cacq, require_valid
 from .orders import break_ties
-from .polytope import ONE, LinearRow, int_dot, iterative_rounding, scale
+from .polytope import ONE, LinearRow, exact, int_dot, iterative_rounding, scale
 from .scarf import (
     DEFAULT_PIVOT_BUDGET,
     ScarfBuild,
@@ -225,7 +225,7 @@ def verify_cacq(inst: CacqInstance, quotas: Mapping, matching: Mapping) -> CacqR
     unknown = sorted(set(matching) - {e.id for e in inst.edges})
     if unknown:
         raise InputError(f"matching references unknown edges: {unknown}")
-    values = {e.id: Fraction(matching.get(e.id, 0)) for e in inst.edges}
+    values = {e.id: exact(matching.get(e.id, 0)) for e in inst.edges}
     nums, den = scale(list(values.values()))
     x = dict(zip(values, nums))
     value_violations = tuple(eid for eid, v in x.items() if v < 0 or v > den)

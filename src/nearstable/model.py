@@ -271,11 +271,22 @@ def _orders_consistent(master: WeakOrder, member: WeakOrder) -> list[tuple]:
     """Pairs ranked by both orders on which they disagree.
 
     Consistency requires strict member preferences to stay strict in the
-    master list and member ties to stay ties.
+    master list and member ties to stay ties: every member rank maps to
+    one master rank, and those master ranks increase strictly with the
+    member rank.  That is checked first, in O(s log s) over the s shared
+    alternatives; the disagreeing pairs are listed only when it fails.
     """
-    shared = sorted(master.universe & member.universe, key=str)
     mr = master.ranks()
     cr = member.ranks()
+    groups = {}
+    for a in mr.keys() & cr.keys():
+        groups.setdefault(cr[a], set()).add(mr[a])
+    images = [groups[rank] for rank in sorted(groups)]
+    if all(len(image) == 1 for image in images) and all(
+        low < high for (low,), (high,) in zip(images, images[1:])
+    ):
+        return []
+    shared = sorted(mr.keys() & cr.keys(), key=str)
     bad = []
     for i, a in enumerate(shared):
         for b in shared[i + 1 :]:

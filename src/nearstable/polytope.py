@@ -17,9 +17,10 @@ arithmetic gives.
 
 All elimination runs through one integer kernel, `_echelon`: integer rows
 are reduced in input order without division and divided by their content,
-so positively scaled inputs leave the same rows.  `exact_rank`,
-`nullspace_vector`, `solve_square` and the active-set start of the simplex
-are each a reading of its output, so they agree with one another and with
+so positively scaled inputs leave the same rows.  `nullspace_vector`,
+`solve_square`, the vertex checks (`rank_of_tight_rows` and the Scarf
+engine's `certify_extreme`) and the active-set start of the simplex are
+each a reading of its output, so they agree with one another and with
 Fraction elimination in the same order.
 
 Systems are given as equality/inequality rows plus per-variable bounds and a
@@ -67,6 +68,11 @@ Point = tuple[list[int], int]
 def sparse(dense: Iterable) -> Row:
     """The row of a dense coefficient vector: its nonzero entries by column."""
     return tuple((j, Fraction(v)) for j, v in enumerate(dense) if v != 0)
+
+
+def exact(value) -> int | Fraction:
+    """An int or a Fraction as it is; any other number as the Fraction it equals."""
+    return value if isinstance(value, (int, Fraction)) else Fraction(value)
 
 
 def scale(values: Sequence) -> Point:
@@ -144,11 +150,6 @@ def _null_vector(kept: list[tuple[int, int, list[int]]], dim: int) -> Point | No
     return w, w[free]
 
 
-def exact_rank(vectors: Iterable[Sequence[Fraction]]) -> int:
-    """Rank of a list of rational row vectors: the rows `_echelon` keeps."""
-    return len(_echelon(scale(vec)[0] for vec in vectors))
-
-
 def nullspace_vector(vectors: Iterable[Sequence[Fraction]], dim: int) -> list[Fraction] | None:
     """Some nonzero w with v . w = 0 for every v, or None if none exists.
 
@@ -223,10 +224,24 @@ class LinearSystem:
                 raise PreconditionError("row column outside 0..num_vars-1")
             if row.relation not in ("le", "eq"):
                 raise PreconditionError(f"unknown relation {row.relation!r}")
-        for j, value in self.fixed.items():
+        self._check_fixed(self.fixed)
+
+    def _check_fixed(self, fixed: dict):
+        for j, value in fixed.items():
             lo, up = self.lower[j], self.upper[j]
             if value < lo or (up is not None and value > up):
                 raise PreconditionError(f"fixed value for variable {j} violates its bounds")
+
+    def _narrowed(self, rows: tuple[LinearRow, ...], fixed: dict) -> LinearSystem:
+        """This system over a subset of its rows, with `fixed` extending its fixed values.
+
+        The rows were checked when this system was made, so only the newly
+        fixed values are checked here.
+        """
+        self._check_fixed({j: v for j, v in fixed.items() if j not in self.fixed})
+        system = object.__new__(LinearSystem)
+        system.__dict__.update(num_vars=self.num_vars, rows=rows, lower=self.lower, upper=self.upper, fixed=fixed)
+        return system
 
 
 def is_feasible(sys: LinearSystem, x: Sequence[Fraction]) -> bool:
@@ -451,11 +466,14 @@ def iterative_rounding(
     deleted id, kind, trace label), or None when no row may go.  The row
     is dropped, the integral coordinates are fixed, and `extreme_point`
     re-solves from `z`, maximizing `objective` if given; it must never
-    decrease.  Returns the integral vector and one record per step.
+    decrease.  Returns the integral vector and one record per step.  The
+    rows are checked once, on the first step; a step checks only the
+    values it newly fixes.
     """
     n = len(start)
     z = list(start)
     active = list(range(len(rows)))
+    system = None
     steps = []
     gain, gain_den = scale(objective) if objective is not None else ([], 1)
     value = None  # the objective at z, once a step has needed it
@@ -475,12 +493,10 @@ def iterative_rounding(
             raise InternalError("no deletable row although the vector is fractional")
         index, deleted, kind, label = choice
         active.remove(index)
-        system = LinearSystem(
-            num_vars=n,
-            rows=tuple(rows[i] for i in active),
-            lower=(ZERO,) * n,
-            upper=(upper,) * n,
-            fixed={j: z[j] for j in range(n) if j not in fractional},
+        if system is None:
+            system = LinearSystem(num_vars=n, rows=tuple(rows), lower=(ZERO,) * n, upper=(upper,) * n)
+        system = system._narrowed(
+            tuple(rows[i] for i in active), {j: z[j] for j in range(n) if j not in fractional}
         )
         previous, z = z, list(extreme_point(system, objective, z))
         step = {"deleted": deleted, "kind": kind, "fractional": len(fractional)}

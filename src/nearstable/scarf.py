@@ -24,6 +24,15 @@ unique alternative completion.  Both bases evolve in lockstep until they
 coincide, which is the termination guarantee of the underlying path
 argument.  The worst case is exponential, so a configurable pivot budget
 guards the loop.
+
+Both halves work over nonzeros only.  A tableau row keeps its nonzero
+integers in a dict, and a pivot updates just the rows with a nonzero in
+the entering column (a pivot that changes the common denominator also
+rescales the other rows' stored nonzeros).  An ordinal step tests a candidate column only
+against the rows whose basis minimum is positive: a row with minimum 0
+blocks nothing but its own slack, and no other row's slack can enter.
+The integers, and so every ratio row, pivot and vertex, are those of the
+dense tableau.
 """
 
 from __future__ import annotations
@@ -32,7 +41,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from operator import gt
 from typing import Callable, Sequence
 
 from .errors import InputError, InternalError, ResourceLimitError
@@ -241,56 +249,54 @@ def _utility_matrix(problem: ScarfProblem) -> list[list[int]]:
 
 
 class _Tableau:
-    """Fraction-free integer simplex tableau for [I | Q] x = d.
+    """Fraction-free integer simplex tableau for [I | Q] x = d, stored by nonzeros.
 
-    Entries are `den` times the true rational tableau; pivots keep
-    everything integral by exact division (the entries are minors of the
-    integer input matrix).
+    Entries are `den` times the true rational tableau, den * B^-1 [I | Q]:
+    pivots keep everything integral by exact division (the entries are
+    minors of the integer input matrix).  Each row is a {column: entry}
+    dict of its nonzeros only, and entries that cancel are dropped.  A
+    pivot changes only the rows with a nonzero in the entering column.
+    When the pivot equals `den` (the usual case), such a row changes only
+    on the pivot row's columns and is updated in place; otherwise it is
+    rebuilt over its own nonzeros and the pivot row's, and every other
+    row's stored nonzeros are rescaled by piv / den.
     """
 
     def __init__(self, problem: ScarfProblem):
         n, m = problem.num_rows, problem.num_cols
         rows, bounds = problem.scaled
         self.n, self.m = n, m
-        self.mat = []
-        for i in range(n):
-            row = [0] * (n + m)
-            for j, v in rows[i]:
-                row[n + j] = v
-            row[i] = 1
-            self.mat.append(row)
+        self.rows = [{i: 1, **{n + j: v for j, v in rows[i]}} for i in range(n)]
         self.rhs = list(bounds)
         self.den = 1
         self.basis = list(range(n))
 
     def ratio_row(self, col: int) -> int:
         """Lexicographic minimum ratio row for an entering column."""
-        n = self.n
+        n, rows, rhs = self.n, self.rows, self.rhs
         best = None
-        for i in range(n):
-            piv = self.mat[i][col]
-            if piv <= 0:
+        for i, piv in [(i, row[col]) for i, row in enumerate(rows) if col in row]:
+            if piv < 0:
                 continue
             if best is None:
-                best = i
+                best, bpiv = i, piv
                 continue
-            bpiv = self.mat[best][col]
-            left = self.rhs[i] * bpiv
-            right = self.rhs[best] * piv
+            left = rhs[i] * bpiv
+            right = rhs[best] * piv
             if left != right:
                 if left < right:
-                    best = i
+                    best, bpiv = i, piv
                 continue
-            decided = False
-            for c in range(n):
-                left = self.mat[i][c] * bpiv
-                right = self.mat[best][c] * piv
+            # Tie: compare the slack parts (the rows of den * B^-1) column by column.
+            row, brow = rows[i], rows[best]
+            for c in sorted({c for c in row if c < n} | {c for c in brow if c < n}):
+                left = row.get(c, 0) * bpiv
+                right = brow.get(c, 0) * piv
                 if left != right:
                     if left < right:
-                        best = i
-                    decided = True
+                        best, bpiv = i, piv
                     break
-            if not decided:
+            else:
                 raise InternalError("lexicographic ratio test tie; basis inverse is singular")
         if best is None:
             raise InternalError("unbounded pivot column on a bounded polytope")
@@ -298,31 +304,39 @@ class _Tableau:
 
     def pivot(self, row: int, col: int) -> int:
         """Pivot and return the leaving column."""
-        piv = self.mat[row][col]
+        rows, rhs = self.rows, self.rhs
+        prow = rows[row]
+        piv = prow.get(col, 0)
         if piv <= 0:
             raise InternalError("nonpositive pivot element")
         den = self.den
-        prow = self.mat[row]
-        prhs = self.rhs[row]
-        for i in range(self.n):
+        prhs = rhs[row]
+        if piv != den:
+            for i, irow in enumerate(rows):
+                if col not in irow:
+                    rows[i] = {c: v * piv // den for c, v in irow.items()}
+                    rhs[i] = rhs[i] * piv // den
+        for i in [i for i, irow in enumerate(rows) if col in irow]:
             if i == row:
                 continue
-            factor = self.mat[i][col]
-            if factor == 0:
-                if piv == den:
-                    continue  # (v * piv) // den == v
-                if den != 1:
-                    irow = self.mat[i]
-                    self.mat[i] = [(v * piv) // den for v in irow]
-                    self.rhs[i] = (self.rhs[i] * piv) // den
-                else:
-                    irow = self.mat[i]
-                    self.mat[i] = [v * piv for v in irow]
-                    self.rhs[i] = self.rhs[i] * piv
+            irow = rows[i]
+            factor = irow[col]
+            if piv == den:
+                # Each new entry v - factor * p / den is an integer, so every
+                # term divides exactly and only the pivot row's columns change.
+                for c, p in prow.items():
+                    v = irow.get(c, 0) - factor * p // den
+                    if v:
+                        irow[c] = v
+                    else:
+                        del irow[c]
+                rhs[i] -= factor * prhs // den
                 continue
-            irow = self.mat[i]
-            self.mat[i] = [(v * piv - factor * p) // den for v, p in zip(irow, prow)]
-            self.rhs[i] = (self.rhs[i] * piv - factor * prhs) // den
+            new = {c: v * piv for c, v in irow.items()}
+            for c, p in prow.items():
+                new[c] = new.get(c, 0) - factor * p
+            rows[i] = {c: v // den for c, v in new.items() if v}
+            rhs[i] = (rhs[i] * piv - factor * prhs) // den
         self.den = piv
         leaving = self.basis[row]
         self.basis[row] = col
@@ -340,9 +354,14 @@ class _Tableau:
 class _OrdinalBasis:
     """Ordinal basis with the row -> minimum-holding-column bijection.
 
-    `util` is a `_utility_matrix`: nonnegative and distinct within a row.
-    The per-row minima over the basis and the inverse of `owner` are kept
-    up to date by `replace`, which changes exactly two of them per step.
+    `util` is a `_utility_matrix`: nonnegative and distinct within a row,
+    0 exactly on the row's own slack.  The per-row minima over the basis,
+    the inverse of `owner` and the set of rows whose minimum is positive
+    are kept up to date by `replace`, which changes exactly two minima per
+    step.  A row whose minimum is 0 lies below its minimum only on its own
+    slack, so it can block no column but that slack; and a foreign slack k
+    is blocked by row k.  So a step scans home's columns without the other
+    rows' slacks and tests each only against the positive-minimum rows.
     """
 
     def __init__(self, util: list[list[int]], columns: list[int], owner: dict[int, int]):
@@ -350,17 +369,25 @@ class _OrdinalBasis:
         self.columns = set(columns)
         self.owner = owner  # row -> column holding that row's minimum
         self.row_of = {col: row for row, col in owner.items()}
-        self.mins = [min(row[c] for c in self.columns) for row in util]
-        self._by_column = list(zip(*util))
+        self.mins = [min(map(row.__getitem__, self.columns)) for row in util]
+        self.positive = {i for i, low in enumerate(self.mins) if low}
         self._descending: dict[int, list[int]] = {}
 
-    def _by_utility(self, row: int) -> list[int]:
-        """All columns, best first in `row`; built on first use."""
+    def _candidates(self, row: int) -> list[int]:
+        """Row's own slack and every real column, best first in `row`; built on first use."""
         order = self._descending.get(row)
         if order is None:
-            order = sorted(range(len(self.util[row])), key=self.util[row].__getitem__, reverse=True)
+            n = len(self.util)
+            order = sorted([row, *range(n, len(self.util[row]))], key=self.util[row].__getitem__, reverse=True)
             self._descending[row] = order
         return order
+
+    def _set_min(self, row: int, low: int):
+        self.mins[row] = low
+        if low:
+            self.positive.add(row)
+        else:
+            self.positive.discard(row)
 
     def replace(self, out_col: int) -> int:
         """Remove `out_col`, add the unique alternative completion.
@@ -378,23 +405,24 @@ class _OrdinalBasis:
         columns.remove(out_col)
         orphan_util = util[orphan]
         doubled = min(columns, key=orphan_util.__getitem__)
-        mins[orphan] = orphan_util[doubled]
+        self._set_min(orphan, orphan_util[doubled])
         home = self.row_of[doubled]
         home_min = mins[home]
-        # Every other row must rank the entering column above its minimum;
-        # masking home's minimum lets one comparison run over all rows.
-        mins[home] = -1
+        blockers = [(util[i], mins[i]) for i in self.positive if i != home]
         entering = None
-        by_column = self._by_column
-        for c in self._by_utility(home):
-            if c not in columns and all(map(gt, by_column[c], mins)):
+        for c in self._candidates(home):
+            if c in columns:
+                continue
+            for row, low in blockers:
+                if row[c] <= low:
+                    break
+            else:
                 entering = c
                 break
-        mins[home] = home_min
         if entering is None or util[home][entering] >= home_min:
             raise InternalError("ordinal replacement step has no valid completion")
         columns.add(entering)
-        mins[home] = util[home][entering]
+        self._set_min(home, util[home][entering])
         self.owner[orphan] = doubled
         self.owner[home] = entering
         self.row_of[doubled] = orphan

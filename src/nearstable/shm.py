@@ -26,7 +26,7 @@ from typing import Mapping
 from .errors import InputError, InternalError, PreconditionError
 from .model import CapacityRevision, HyperEdge, HypergraphInstance, require_valid
 from .orders import WeakOrder, break_ties
-from .polytope import ONE, LinearRow, _is_integral, iterative_rounding, scale, sparse
+from .polytope import ONE, LinearRow, _is_integral, exact, iterative_rounding, scale, sparse
 from .scarf import (
     DEFAULT_PIVOT_BUDGET,
     ScarfBuild,
@@ -208,7 +208,7 @@ def verify_shm(inst: HypergraphInstance, capacities: Mapping, matching: Mapping)
     unknown = sorted(set(matching) - {e.id for e in inst.edges})
     if unknown:
         raise InputError(f"matching references unknown edges: {unknown}")
-    values = {e.id: Fraction(matching.get(e.id, 0)) for e in inst.edges}
+    values = {e.id: exact(matching.get(e.id, 0)) for e in inst.edges}
     nums, den = scale(list(values.values()))
     x = dict(zip(values, nums))
     value_violations = tuple(eid for eid, v in x.items() if v < 0 or v > den)

@@ -17,6 +17,12 @@ from nearstable.model import (
     HypergraphInstance,
 )
 from nearstable.orders import WeakOrder
+from nearstable.polytope import _echelon, scale
+
+
+def exact_rank(vectors) -> int:
+    """Rank of a list of rational row vectors: the rows the elimination kernel keeps."""
+    return len(_echelon(scale(vec)[0] for vec in vectors))
 
 
 def triangle_instance() -> HypergraphInstance:

@@ -1,3 +1,5 @@
+import random
+
 from conftest import triangle_instance, two_by_two_cacq
 from nearstable.model import (
     CacqEdge,
@@ -6,6 +8,7 @@ from nearstable.model import (
     CollegeSet,
     HyperEdge,
     HypergraphInstance,
+    _orders_consistent,
     normalize_cacq,
     validate,
 )
@@ -160,3 +163,54 @@ def test_capacity_revision_empty():
     rev = CapacityRevision(original={}, revised={})
     assert rev.max_deviation() == 0
     assert rev.sum_deviation() == 0
+
+
+def _pairwise_disagreements(master: WeakOrder, member: WeakOrder) -> list[tuple]:
+    """Every shared pair the two orders compare differently, by definition."""
+    shared = sorted(master.universe & member.universe, key=str)
+    mr, cr = master.ranks(), member.ranks()
+
+    def sign(r, a, b):
+        return (r[a] > r[b]) - (r[a] < r[b])
+
+    return [(a, b) for i, a in enumerate(shared) for b in shared[i + 1 :] if sign(mr, a, b) != sign(cr, a, b)]
+
+
+def _random_weak_order(rng: random.Random, alts: list) -> WeakOrder:
+    alts = rng.sample(alts, len(alts))
+    groups, start = [], 0
+    while start < len(alts):
+        size = rng.choice([1, 1, 1, 2, 3])
+        groups.append(tuple(alts[start : start + size]))
+        start += size
+    return WeakOrder(tuple(groups))
+
+
+def test_orders_consistent_matches_pairwise_definition():
+    rng = random.Random(31)
+    outcomes = {"consistent": 0, "inconsistent": 0}
+    for trial in range(600):
+        member = _random_weak_order(rng, [f"s{i}" for i in rng.sample(range(12), rng.randint(0, 8))])
+        extra = [f"t{i}" for i in range(rng.randint(0, 4))]
+        if rng.random() < 0.5:
+            master = _random_weak_order(rng, list(member.universe) + extra)
+        else:
+            # The member's groups in order, with outside students in new groups or
+            # joined to existing ones: consistent unless a tie is split below.
+            groups = [list(g) for g in member.tie_groups]
+            for t in extra:
+                if groups and rng.random() < 0.5:
+                    rng.choice(groups).append(t)
+                else:
+                    groups.insert(rng.randint(0, len(groups)), [t])
+            if groups and rng.random() < 0.3:
+                group = groups.pop(rng.randrange(len(groups)))
+                if len(group) > 1:
+                    groups.append(group[1:])
+                    group = group[:1]
+                groups.insert(rng.randint(0, len(groups)), group)
+            master = WeakOrder(tuple(tuple(g) for g in groups if g))
+        expected = _pairwise_disagreements(master, member)
+        assert _orders_consistent(master, member) == expected, (trial, master, member)
+        outcomes["inconsistent" if expected else "consistent"] += 1
+    assert min(outcomes.values()) > 150, outcomes

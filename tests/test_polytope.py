@@ -5,6 +5,7 @@ from math import lcm
 
 import pytest
 
+from conftest import exact_rank
 from nearstable.errors import InternalError, PreconditionError
 from nearstable.polytope import (
     LinearRow,
@@ -12,7 +13,6 @@ from nearstable.polytope import (
     _advance,
     _max_step,
     _Reduced,
-    exact_rank,
     extreme_point,
     is_feasible,
     is_vertex,
@@ -78,6 +78,15 @@ def test_midpoint_of_square_edge_is_not_vertex():
 def test_row_column_outside_num_vars_rejected():
     with pytest.raises(PreconditionError):
         LinearSystem(2, (LinearRow(sparse((1, 0, 1)), "le", F(1)),), (F(0),) * 2, (F(1),) * 2)
+
+
+def test_narrowed_system_checks_newly_fixed_values():
+    row = LinearRow(sparse((1, 1)), "le", F(1))
+    sys_ = LinearSystem(2, (row,), (F(0),) * 2, (F(1),) * 2, fixed={0: F(1)})
+    narrowed = sys_._narrowed((), {0: F(1), 1: F(0)})
+    assert narrowed == LinearSystem(2, (), (F(0),) * 2, (F(1),) * 2, fixed={0: F(1), 1: F(0)})
+    with pytest.raises(PreconditionError):
+        sys_._narrowed((row,), {0: F(1), 1: F(2)})
 
 
 def test_infeasible_warm_start_rejected():

@@ -5,13 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import deferred_acceptance, triangle_instance
+from conftest import deferred_acceptance, exact_rank, triangle_instance
 from nearstable import fileformat as ff
 from nearstable.cacq import solve_cacq
-from nearstable.errors import InputError, ResourceLimitError
+from nearstable.errors import InputError, InternalError, ResourceLimitError
+from nearstable.model import HypergraphInstance
 from nearstable.oracle import GeneratorConfig, generate
-from nearstable.polytope import exact_rank, solve_square
+from nearstable.polytope import solve_square
 from nearstable.scarf import (
+    DominatingPoint,
     DominationReport,
     ScarfProblem,
     certify_extreme,
@@ -19,7 +21,7 @@ from nearstable.scarf import (
     solve_scarf,
     verify_dominating,
 )
-from nearstable.shm import build_shm_scarf, solve_shm
+from nearstable.shm import add_saturation_gadget, break_instance_ties, build_shm_scarf, solve_shm
 
 F = Fraction
 
@@ -372,6 +374,7 @@ def _assert_ordinal_state(util, ordinal):
     assert set(ordinal.owner.values()) == ordinal.columns == set(ordinal.row_of)
     assert all(ordinal.row_of[col] == row for row, col in ordinal.owner.items())
     assert all(util[row][col] == ordinal.mins[row] for row, col in ordinal.owner.items())
+    assert ordinal.positive == {i for i in range(n) if ordinal.mins[i] > 0}
 
 
 def test_every_intermediate_ordinal_basis_is_genuine():
@@ -416,6 +419,191 @@ def test_every_intermediate_ordinal_basis_is_genuine():
         else:
             pytest.fail("pivoting did not terminate")
         assert set(tableau.basis) == ordinal.columns
+
+
+class DenseTableau:
+    """Fraction-free tableau over full rows, the reference for the sparse `_Tableau`.
+
+    Every row is a list over all n + m columns; `ties` counts ratio
+    tests decided lexicographically and `rescales` the pivots with
+    piv != den.
+    """
+
+    def __init__(self, problem: ScarfProblem):
+        n, m = problem.num_rows, problem.num_cols
+        rows, bounds = problem.scaled
+        self.n, self.m = n, m
+        self.mat = []
+        for i in range(n):
+            row = [0] * (n + m)
+            for j, v in rows[i]:
+                row[n + j] = v
+            row[i] = 1
+            self.mat.append(row)
+        self.rhs = list(bounds)
+        self.den = 1
+        self.basis = list(range(n))
+        self.ties = self.rescales = 0
+
+    def ratio_row(self, col: int) -> int:
+        best = None
+        for i in range(self.n):
+            piv = self.mat[i][col]
+            if piv <= 0:
+                continue
+            if best is None:
+                best = i
+                continue
+            bpiv = self.mat[best][col]
+            left, right = self.rhs[i] * bpiv, self.rhs[best] * piv
+            if left != right:
+                if left < right:
+                    best = i
+                continue
+            self.ties += 1
+            for c in range(self.n):
+                left, right = self.mat[i][c] * bpiv, self.mat[best][c] * piv
+                if left != right:
+                    if left < right:
+                        best = i
+                    break
+            else:
+                raise InternalError("lexicographic ratio test tie; basis inverse is singular")
+        if best is None:
+            raise InternalError("unbounded pivot column on a bounded polytope")
+        return best
+
+    def pivot(self, row: int, col: int) -> int:
+        piv, den = self.mat[row][col], self.den
+        if piv <= 0:
+            raise InternalError("nonpositive pivot element")
+        self.rescales += piv != den
+        prow, prhs = self.mat[row], self.rhs[row]
+        for i in range(self.n):
+            if i != row:
+                factor = self.mat[i][col]
+                self.mat[i] = [(v * piv - factor * p) // den for v, p in zip(self.mat[i], prow)]
+                self.rhs[i] = (self.rhs[i] * piv - factor * prhs) // den
+        self.den = piv
+        leaving, self.basis[row] = self.basis[row], col
+        return leaving
+
+
+class DenseOrdinalBasis:
+    """Ordinal steps that recompute every minimum and test every column against every row."""
+
+    def __init__(self, util, columns, owner):
+        self.util = util
+        self.columns = set(columns)
+        self.owner = dict(owner)
+        self.row_of = {col: row for row, col in owner.items()}
+
+    def replace(self, out_col: int) -> int:
+        util, columns = self.util, self.columns
+        orphan = self.row_of.pop(out_col)
+        columns.remove(out_col)
+        doubled = min(columns, key=util[orphan].__getitem__)
+        home = self.row_of[doubled]
+        mins = [min(row[c] for c in columns) for row in util]
+        mins[home] = -1
+        order = sorted(range(len(util[home])), key=util[home].__getitem__, reverse=True)
+        entering = next((c for c in order if c not in columns and all(row[c] > low for row, low in zip(util, mins))), None)
+        if entering is None or util[home][entering] >= min(util[home][c] for c in columns):
+            raise InternalError("ordinal replacement step has no valid completion")
+        columns.add(entering)
+        self.owner[orphan], self.owner[home] = doubled, entering
+        self.row_of[doubled], self.row_of[entering] = orphan, home
+        return entering
+
+
+def _dense_rows(tableau) -> list[list[int]]:
+    """The sparse tableau's rows as dense lists, asserting that no zero is stored."""
+    width = tableau.n + tableau.m
+    dense = []
+    for row in tableau.rows:
+        assert all(row.values()), row
+        vec = [0] * width
+        for c, v in row.items():
+            vec[c] = v
+        dense.append(vec)
+    return dense
+
+
+def _lockstep(problem: ScarfProblem):
+    """Walk the sparse engine and the dense reference together; return the reference tableau."""
+    from nearstable.scarf import _OrdinalBasis, _Tableau, _utility_matrix
+
+    n, m = problem.num_rows, problem.num_cols
+    util = _utility_matrix(problem)
+    sparse_tab, dense_tab = _Tableau(problem), DenseTableau(problem)
+    first = max(range(n, n + m), key=lambda c: util[0][c])
+    owner = {0: first, **{i: i for i in range(1, n)}}
+    sparse_ord = _OrdinalBasis(util, [first] + list(range(1, n)), dict(owner))
+    dense_ord = DenseOrdinalBasis(util, [first] + list(range(1, n)), owner)
+    entering = first
+    for _ in range(100_000):
+        row = dense_tab.ratio_row(entering)
+        assert sparse_tab.ratio_row(entering) == row
+        leaving = dense_tab.pivot(row, entering)
+        assert sparse_tab.pivot(row, entering) == leaving
+        assert (sparse_tab.den, sparse_tab.rhs, sparse_tab.basis) == (dense_tab.den, dense_tab.rhs, dense_tab.basis)
+        assert _dense_rows(sparse_tab) == dense_tab.mat
+        if leaving == 0:
+            break
+        entering = dense_ord.replace(leaving)
+        assert sparse_ord.replace(leaving) == entering
+        assert (sparse_ord.owner, sparse_ord.row_of) == (dense_ord.owner, dense_ord.row_of)
+        if entering == 0:
+            break
+    else:
+        pytest.fail("pivoting did not terminate")
+    assert sparse_tab.solution() == list(solve_scarf(problem).x)
+    return dense_tab
+
+
+def _gadget_problem(seed: int) -> ScarfProblem:
+    """A small shm instance at capacities 2..4 through the saturation gadget."""
+    inst = generate(GeneratorConfig(family="shm", seed=seed, max_vertices=5, max_edges=7))
+    rng = random.Random(seed)
+    capacities = {v: rng.randint(2, 4) for v in inst.vertices}
+    inst = HypergraphInstance(inst.vertices, inst.edges, capacities, inst.preferences)
+    return build_shm_scarf(add_saturation_gadget(break_instance_ties(inst))).problem
+
+
+def test_sparse_engine_follows_dense_reference_step_by_step():
+    """Same ratio rows, leaving and entering columns, den, rhs and tableau at every step."""
+    rng = random.Random(909)
+    reached = {"rational": [0, 0], "degenerate": [0, 0], "gadget": [0, 0]}
+    for trial in range(60):
+        n, m = rng.randint(2, 7), rng.randint(2, 8)
+        rows = [[rng.choice([0, 0, 1, 2, F(1, 2), F(2, 3), F(5, 7), 3]) for _ in range(m)] for _ in range(n)]
+        for j in range(m):
+            if all(rows[i][j] == 0 for i in range(n)):
+                rows[rng.randrange(n)][j] = F(3, 2)
+        bounds = [rng.choice([1, 2, F(3, 2), F(5, 3), F(7, 4)]) for _ in range(n)]
+        orders = [tuple(rng.sample([j for j in range(m) if row[j]], sum(1 for v in row if v))) for row in rows]
+        # Equal bounds over 0/1 rows make ratio ties, decided lexicographically.
+        flat = [[rng.choice([0, 1, 1]) for _ in range(m)] for _ in range(n)]
+        for j in range(m):
+            if all(flat[i][j] == 0 for i in range(n)):
+                flat[rng.randrange(n)][j] = 1
+        flat_orders = [tuple(rng.sample([j for j in range(m) if row[j]], sum(row))) for row in flat]
+        cases = [
+            ("rational", make_problem(rows, bounds, orders)),
+            ("degenerate", make_problem(flat, [1] * n, flat_orders)),
+            ("gadget", _gadget_problem(trial)),
+        ]
+        for kind, problem in cases:
+            reference = _lockstep(problem)
+            reached[kind][0] += reference.ties
+            reached[kind][1] += reference.rescales
+    assert reached["rational"][1] > 100 and reached["degenerate"][0] > 100, reached
+    assert reached["gadget"][0] > 200, reached
+
+
+def test_pinned_rational_problem_rescales():
+    """The pinned rational problem reaches the piv != den branch."""
+    assert _lockstep(rational_problem(3)).rescales > 5
 
 
 def test_problem_validation():
@@ -467,13 +655,45 @@ PINNED_PATHS = [
     ("shm", solve_shm, 11, "453295d09dcc3a4ee7628ea59017d49676f0f87ede68825c15bf2ac6d06b35fc"),
     ("cacq", solve_cacq, 3, "89a3a0ed221bb96a01abf210492c65bcbe4331624fb3754ebb261093f6723dbf"),
     ("cacq", solve_cacq, 5, "1e44af2daf414d158ce8e8969fd2f15f76c2a9ce2c31f318c5729150375d991f"),
+    ("shm-highcap", solve_shm, 6, "425809b64658e790dc8639e2c7ebc19134c079e494664cb9746105d1cccfda86"),
+    ("rational", solve_scarf, 3, "e128b5901b9b63a0103be37d808555a89c12876b35502baf5ced8b3c9fd230bb"),
 ]
+
+
+def high_capacity_shm(seed: int) -> HypergraphInstance:
+    """Default-size stock shm with every capacity drawn from 15..25."""
+    inst = generate(GeneratorConfig(family="shm", seed=seed))
+    rng = random.Random(seed)
+    capacities = {v: rng.randint(15, 25) for v in inst.vertices}
+    return HypergraphInstance(inst.vertices, inst.edges, capacities, inst.preferences)
+
+
+def rational_problem(seed: int, n: int = 8, m: int = 10) -> ScarfProblem:
+    """Random problem with rational entries and bounds; its pivots rescale (piv != den)."""
+    rng = random.Random(seed)
+    entries = [0, 0, 0, 1, 3, F(1, 2), F(2, 3), F(5, 7), F(3, 4), F(7, 5)]
+    rows = [[rng.choice(entries) for _ in range(m)] for _ in range(n)]
+    for j in range(m):
+        if all(rows[i][j] == 0 for i in range(n)):
+            rows[rng.randrange(n)][j] = F(3, 2)
+    bounds = [rng.choice([1, 2, F(3, 2), F(5, 3), F(7, 4)]) for _ in range(n)]
+    orders = []
+    for row in rows:
+        order = [j for j in range(m) if row[j] != 0]
+        rng.shuffle(order)
+        orders.append(tuple(order))
+    return make_problem(rows, bounds, orders)
+
+
+PINNED_FAMILIES = {"shm-highcap": high_capacity_shm, "rational": rational_problem}
 
 
 @pytest.mark.parametrize("family, solve, seed, expected", PINNED_PATHS)
 def test_pivot_path_and_certificate_pinned(family, solve, seed, expected):
     if family == "triangle":
         inst = triangle_instance()
+    elif family in PINNED_FAMILIES:
+        inst = PINNED_FAMILIES[family](seed)
     else:
         sizes = LARGE_SHM if family == "shm" else LARGE_CACQ
         inst = generate(GeneratorConfig(family=family, seed=seed, **sizes))
@@ -482,5 +702,8 @@ def test_pivot_path_and_certificate_pinned(family, solve, seed, expected):
     digest = hashlib.sha256()
     for line in lines:
         digest.update(line.encode("utf-8") + b"\n")
-    digest.update(ff.canonical_dumps(result.certificate).encode("utf-8"))
+    if isinstance(result, DominatingPoint):
+        digest.update(repr((result.x, sorted(result.dominating_row.items()))).encode("utf-8"))
+    else:
+        digest.update(ff.canonical_dumps(result.certificate).encode("utf-8"))
     assert digest.hexdigest() == expected

@@ -335,6 +335,14 @@ def test_verify_shm_against_fraction_reference():
     assert min(seen.values()) > 50, seen
 
 
+def test_verify_shm_reads_other_numbers_as_fractions(triangle):
+    """Ints and Fractions are scaled as given; floats, strings and bools as the Fractions they equal."""
+    capacities = {"a": 1, "b": 1, "c": 1}
+    for matching in ({"ab": 0.5, "bc": "1/2", "ca": True}, {"ab": 1, "bc": F(1, 2), "ca": False}, {"bc": 0.25}):
+        as_fractions = {eid: F(v) for eid, v in matching.items()}
+        assert verify_shm(triangle, capacities, matching) == verify_shm(triangle, capacities, as_fractions)
+
+
 # -- the full pipeline --------------------------------------------------------
 
 

@@ -82,22 +82,13 @@ def build_cacq_scarf(inst: CacqInstance) -> ScarfBuild:
     return ScarfBuild.from_rows([e.id for e in inst.edges], fixed_zero, rows)
 
 
-def _college_sets(inst: CacqInstance) -> dict:
-    """College id -> ids of the sets listing it, each set once, in declared order."""
-    out: dict = {}
-    for cs in inst.sets:
-        for c in dict.fromkeys(cs.colleges):
-            out.setdefault(c, []).append(cs.id)
-    return out
-
-
-def _set_loads(inst: CacqInstance, values: Mapping, college_sets: Mapping) -> dict:
+def _set_loads(inst: CacqInstance, values: Mapping, memberships: Mapping) -> dict:
     loads = {cs.id: 0 for cs in inst.sets}
     for e in inst.edges:
         value = values.get(e.id, 0)
         if value == 0:
             continue
-        for set_id in college_sets.get(e.college, ()):
+        for set_id in memberships.get(e.college, ()):
             loads[set_id] += value
     return loads
 
@@ -184,11 +175,11 @@ def compute_cacq_quotas(inst: CacqInstance, x_star: Mapping, y: Mapping) -> Capa
             raise PreconditionError(f"fully assigned student {s!r} lost the seat")
         if y_loads[s] > 1:
             raise PreconditionError(f"student {s!r} holds more than one seat")
-    college_sets = _college_sets(inst)
+    memberships = inst.memberships
     return CapacityRevision.read_off(
         {cs.id: cs.quota for cs in inst.sets},
-        _set_loads(inst, x_star, college_sets),
-        _set_loads(inst, y, college_sets),
+        _set_loads(inst, x_star, memberships),
+        _set_loads(inst, y, memberships),
     )
 
 
@@ -230,8 +221,8 @@ def verify_cacq(inst: CacqInstance, quotas: Mapping, matching: Mapping) -> CacqR
     x = dict(zip(values, nums))
     value_violations = tuple(eid for eid, v in x.items() if v < 0 or v > den)
     student_loads = _student_loads(inst, x)
-    college_sets = _college_sets(inst)
-    set_loads = _set_loads(inst, x, college_sets)
+    memberships = inst.memberships
+    set_loads = _set_loads(inst, x, memberships)
     student_violations = tuple(s for s in inst.students if student_loads[s] > den)
     quota_violations = tuple(cs.id for cs in inst.sets if set_loads[cs.id] > quotas[cs.id] * den)
     # Per full student and per full set: its ranks and the worst rank it holds (-1 if none).
@@ -244,7 +235,7 @@ def verify_cacq(inst: CacqInstance, quotas: Mapping, matching: Mapping) -> CacqR
     worst_admitted = dict.fromkeys(master_ranks, -1)
     for e in inst.edges:
         if x[e.id] > 0:
-            for set_id in college_sets.get(e.college, ()):
+            for set_id in memberships.get(e.college, ()):
                 if set_id in master_ranks:
                     worst_admitted[set_id] = max(worst_admitted[set_id], master_ranks[set_id].get(e.student, -1))
     blocking = tuple(
@@ -253,7 +244,7 @@ def verify_cacq(inst: CacqInstance, quotas: Mapping, matching: Mapping) -> CacqR
         if (e.student not in worst_held or student_ranks[e.student][e.id] < worst_held[e.student])
         and all(
             set_id not in master_ranks or master_ranks[set_id][e.student] < worst_admitted[set_id]
-            for set_id in college_sets.get(e.college, ())
+            for set_id in memberships.get(e.college, ())
         )
     )
     return CacqReport(
@@ -305,7 +296,7 @@ def solve_cacq(
     missing = [s for s in pinned if s not in matched_students]
     if missing:
         raise InternalError(f"pinned students left unmatched: {missing}")
-    x_set = _set_loads(strict, x_star, _college_sets(strict))
+    x_set = _set_loads(strict, x_star, strict.memberships)
     certificate = {
         "pipeline": "cacq",
         "max_memberships": ell,

@@ -67,10 +67,6 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _load_instance(path: str):
-    return ff.parse_document(_read(path))
-
-
 def _emit(args, payload: dict, elapsed: float):
     text = ff.canonical_dumps(payload)
     if args.format == "summary":
@@ -250,7 +246,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    parsed = _load_instance(args.input)
+    parsed = ff.parse_document(_read(args.input))
     if not isinstance(parsed, HypergraphInstance):
         raise InputError("oracle enumeration works on hypergraph instances")
     results = enumerate_near_feasible(parsed, args.bound, args.sum_bound)

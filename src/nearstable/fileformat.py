@@ -254,6 +254,23 @@ def _parse_flow_values(flow_doc, arcs, k) -> dict:
     return flow
 
 
+def _flow_json(inst: FlowInstance, flow: dict) -> list:
+    return [
+        {a.id: rational_to_json(flow[(a.id, j)]) for a in inst.arcs if flow.get((a.id, j), 0) != 0}
+        for j in range(1, inst.num_commodities + 1)
+    ]
+
+
+def _parse_commodity_capacities(ccaps_doc, k) -> dict:
+    if not isinstance(ccaps_doc, list) or len(ccaps_doc) != k:
+        raise InputError(f"commodity_capacities must be an array of {k} objects")
+    return {
+        (aid, j): q
+        for j, per in enumerate(ccaps_doc, start=1)
+        for aid, q in _capacity_map(per, f"commodity_capacities[{j}]").items()
+    }
+
+
 def parse_smf(doc: dict) -> SmfDocument:
     _expect_keys(
         doc,
@@ -285,13 +302,7 @@ def parse_smf(doc: dict) -> SmfDocument:
         _expect_keys(c, {"source", "sink"})
         commodities.append(Commodity(_string(c["source"], "source"), _string(c["sink"], "sink")))
     k = len(commodities)
-    ccaps_doc = doc["commodity_capacities"]
-    if not isinstance(ccaps_doc, list) or len(ccaps_doc) != k:
-        raise InputError(f"commodity_capacities must be an array of {k} objects")
-    commodity_capacity = {}
-    for j, per in enumerate(ccaps_doc, start=1):
-        for aid, q in _capacity_map(per, f"commodity_capacities[{j}]").items():
-            commodity_capacity[(aid, j)] = q
+    commodity_capacity = _parse_commodity_capacities(doc["commodity_capacities"], k)
     vprefs_doc = doc["vertex_preferences"]
     if not isinstance(vprefs_doc, list) or len(vprefs_doc) != k:
         raise InputError(f"vertex_preferences must be an array of {k} objects")
@@ -340,10 +351,7 @@ def smf_to_doc(inst: FlowInstance, flow: dict | None = None) -> dict:
         "arc_preferences": {a.id: _weak_order_json(inst.arc_prefs[a.id]) for a in inst.arcs},
     }
     if flow is not None:
-        doc["flow"] = [
-            {a.id: rational_to_json(flow[(a.id, j)]) for a in inst.arcs if flow.get((a.id, j), 0) != 0}
-            for j in range(1, k + 1)
-        ]
+        doc["flow"] = _flow_json(inst, flow)
     return doc
 
 
@@ -392,13 +400,7 @@ def parse_smf_solution(doc: dict, inst: FlowInstance) -> tuple[dict[str, int], d
     if doc["kind"] != "smf-solution" or doc["version"] != FORMAT_VERSION:
         raise InputError("expected kind 'smf-solution' version 1")
     k = inst.num_commodities
-    ccaps_doc = doc["commodity_capacities"]
-    if not isinstance(ccaps_doc, list) or len(ccaps_doc) != k:
-        raise InputError(f"commodity_capacities must be an array of {k} objects")
-    ccaps = {}
-    for j, per in enumerate(ccaps_doc, start=1):
-        for aid, q in _capacity_map(per, f"commodity_capacities[{j}]").items():
-            ccaps[(aid, j)] = q
+    ccaps = _parse_commodity_capacities(doc["commodity_capacities"], k)
     flow = _parse_flow_values(doc["flow"], inst.arcs, k)
     return _capacity_map(doc["capacity"], "capacity"), ccaps, flow
 
@@ -410,10 +412,7 @@ def smf_solution_to_doc(inst: FlowInstance, capacity: dict, ccaps: dict, flow: d
         "version": FORMAT_VERSION,
         "capacity": dict(capacity),
         "commodity_capacities": [{a.id: ccaps[(a.id, j)] for a in inst.arcs} for j in range(1, k + 1)],
-        "flow": [
-            {a.id: rational_to_json(flow[(a.id, j)]) for a in inst.arcs if flow.get((a.id, j), 0) != 0}
-            for j in range(1, k + 1)
-        ],
+        "flow": _flow_json(inst, flow),
     }
 
 

@@ -267,17 +267,16 @@ def validate_shm(inst: HypergraphInstance) -> list[Violation]:
     return out
 
 
-def _orders_consistent(master: WeakOrder, member: WeakOrder) -> list[tuple]:
+def _orders_consistent(mr: dict, cr: dict) -> list[tuple]:
     """Pairs ranked by both orders on which they disagree.
 
+    `mr` and `cr` are the `ranks()` of the master and the member order.
     Consistency requires strict member preferences to stay strict in the
     master list and member ties to stay ties: every member rank maps to
     one master rank, and those master ranks increase strictly with the
     member rank.  That is checked first, in O(s log s) over the s shared
     alternatives; the disagreeing pairs are listed only when it fails.
     """
-    mr = master.ranks()
-    cr = member.ranks()
     groups = {}
     for a in mr.keys() & cr.keys():
         groups.setdefault(cr[a], set()).add(mr[a])
@@ -331,6 +330,11 @@ def validate_cacq(inst: CacqInstance) -> list[Violation]:
             out.append(Violation(s, "preference-missing", "student has no preference order"))
             continue
         _check_pref_universe(s, order, student_edges[s], out)
+    # Ranks of every college some set lists, each built once.
+    memberships = inst.memberships
+    college_ranks = {
+        c: order.ranks() for c, order in inst.college_prefs.items() if order is not None and memberships.get(c)
+    }
     for cs in inst.sets:
         if not cs.colleges:
             out.append(Violation(cs.id, "empty-set", "college set has no members"))
@@ -346,11 +350,11 @@ def validate_cacq(inst: CacqInstance) -> list[Violation]:
         for c in members:
             want.update(college_students[c])
         _check_pref_universe(cs.id, cs.master, want, out)
+        master_ranks = cs.master.ranks()
         for c in members:
-            member_order = inst.college_prefs.get(c)
-            if member_order is None:
+            if c not in college_ranks:
                 continue
-            for a, b in _orders_consistent(cs.master, member_order):
+            for a, b in _orders_consistent(master_ranks, college_ranks[c]):
                 out.append(
                     Violation(
                         cs.id,

@@ -8,6 +8,11 @@ most k - 1 (k = number of commodities).  In the default mode every
 commodity's flow size drifts by strictly less than one; the balanced mode
 trades that for an aggregate drift below one with per-commodity drift
 below two.
+
+Each entry point reads its flow once (through `exact`) and builds the
+network maps (`arc_by_id`, `outgoing`, `incoming`) once per call; one
+helper, `_unbalanced`, checks flow conservation for the verifier and after
+every rounding step.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from typing import Mapping
 
 from .errors import InputError, InternalError, PreconditionError, UnstableInputError
 from .model import CapacityRevision, FlowInstance, require_valid
-from .polytope import ZERO, _is_integral
+from .polytope import ZERO, _is_integral, exact, scale
 from .scarf import TraceSink
 
 
@@ -56,20 +61,26 @@ class FlowReport:
         return self.feasible and self.stable
 
 
-def flow_value(flow: Mapping, arc: str, j: int) -> Fraction:
-    return Fraction(flow.get((arc, j), 0))
-
-
 def flow_size(inst: FlowInstance, flow: Mapping, j: int) -> Fraction:
     source = inst.commodities[j - 1].source
-    return sum((flow_value(flow, a, j) for a in inst.outgoing()[source]), ZERO)
+    return sum((exact(flow.get((a.id, j), 0)) for a in inst.arcs if a.tail == source), ZERO)
 
 
 def aggregate_size(inst: FlowInstance, flow: Mapping) -> Fraction:
     return sum((flow_size(inst, flow, j) for j in range(1, inst.num_commodities + 1)), ZERO)
 
 
-def _find_blocking_walk(inst: FlowInstance, flow: Mapping, j: int, capacity, ccap, arc_ranks) -> BlockingWalk | None:
+def _unbalanced(inst: FlowInstance, values: Mapping, j: int, outgoing, incoming) -> list[str]:
+    """The vertices other than commodity j's terminals where its flow is not conserved."""
+    terminals = (inst.commodities[j - 1].source, inst.commodities[j - 1].sink)
+    return [
+        v
+        for v in inst.vertices
+        if v not in terminals and sum(values[(a, j)] for a in outgoing[v]) != sum(values[(a, j)] for a in incoming[v])
+    ]
+
+
+def _find_blocking_walk(inst: FlowInstance, j: int, x, totals, cap, com_cap, arc_ranks, network) -> BlockingWalk | None:
     """Breadth-first search over usable arcs for one commodity.
 
     An arc is usable when it has commodity capacity left and either spare
@@ -77,33 +88,29 @@ def _find_blocking_walk(inst: FlowInstance, flow: Mapping, j: int, capacity, cca
     Valid walk starts leave the source or improve on a positive outgoing
     arc at their tail; valid ends enter the sink or improve at their head.
     Every blocking walk collapses to such a path, so the search is
-    complete.  `arc_ranks` maps each arc to its commodity ranks.
+    complete.  `x`, `totals`, `cap` and `com_cap` are the scaled integers
+    of `verify_flow`; `arc_ranks` maps each arc to its commodity ranks, and
+    `network` is (`arc_by_id`, `outgoing`, `incoming`).
     """
     source = inst.commodities[j - 1].source
     sink = inst.commodities[j - 1].sink
-    arcs = inst.arcs
-    arc_map = inst.arc_by_id()
-    outgoing, incoming = inst.outgoing(), inst.incoming()
-    totals = {a.id: sum((flow_value(flow, a.id, i) for i in range(1, inst.num_commodities + 1)), ZERO) for a in arcs}
+    arc_map, outgoing, incoming = network
+    others = [i for i in range(1, inst.num_commodities + 1) if i != j]
     vertex_ranks = {v: order.ranks() for (v, i), order in inst.vertex_prefs.items() if i == j}
 
     def usable(aid: str) -> bool:
-        if flow_value(flow, aid, j) >= ccap[(aid, j)]:
+        if x[(aid, j)] >= com_cap[(aid, j)]:
             return False
-        if totals[aid] < capacity[aid]:
+        if totals[aid] < cap[aid]:
             return True
         ranks = arc_ranks[aid]
-        return any(
-            flow_value(flow, aid, other) > 0 and ranks[j] < ranks[other]
-            for other in range(1, inst.num_commodities + 1)
-            if other != j
-        )
+        return any(x[(aid, other)] > 0 and ranks[j] < ranks[other] for other in others)
 
     def improves_at(v: str, aid: str, candidates) -> bool:
         ranks = vertex_ranks[v]
-        return any(flow_value(flow, b, j) > 0 and ranks[aid] < ranks[b] for b in candidates)
+        return any(x[(b, j)] > 0 and ranks[aid] < ranks[b] for b in candidates)
 
-    usable_ids = [a.id for a in arcs if usable(a.id)]
+    usable_ids = [a.id for a in inst.arcs if usable(a.id)]
     usable_set = set(usable_ids)
     starts = [
         aid
@@ -149,52 +156,33 @@ def verify_flow(
     """Kirchhoff, capacity, and blocking-walk report for a multiflow.
 
     Capacity overrides allow re-checking a rounded flow against revised
-    capacities.  Weak preference orders are handled directly.
+    capacities.  Weak preference orders are handled directly.  The flow is
+    read once and scaled to integers over one common denominator `den`, so
+    values and per-arc totals compare with `capacity * den`; the totals are
+    shared by the capacity check and every commodity's walk search.
     """
-    capacity = dict(inst.capacity) if capacity is None else capacity
-    ccap = dict(inst.commodity_capacity) if commodity_capacity is None else commodity_capacity
-    k = inst.num_commodities
-    missing = [a.id for a in inst.arcs if a.id not in capacity]
-    missing += [key for a in inst.arcs for j in range(1, k + 1) if (key := (a.id, j)) not in ccap]
+    capacity = inst.capacity if capacity is None else capacity
+    ccap = inst.commodity_capacity if commodity_capacity is None else commodity_capacity
+    commodities = range(1, inst.num_commodities + 1)
+    keys = [(a.id, j) for a in inst.arcs for j in commodities]
+    missing = [a.id for a in inst.arcs if a.id not in capacity] + [key for key in keys if key not in ccap]
     if missing:
         raise InputError(f"capacities missing for: {missing[:5]}")
-    negative = tuple(
-        (a.id, j) for a in inst.arcs for j in range(1, k + 1) if flow_value(flow, a.id, j) < 0
-    )
-    commodity_violations = tuple(
-        (a.id, j)
-        for a in inst.arcs
-        for j in range(1, k + 1)
-        if flow_value(flow, a.id, j) > ccap[(a.id, j)]
-    )
-    capacity_violations = tuple(
-        a.id
-        for a in inst.arcs
-        if sum((flow_value(flow, a.id, j) for j in range(1, k + 1)), ZERO) > capacity[a.id]
-    )
+    nums, den = scale([exact(flow.get(key, 0)) for key in keys])
+    x = dict(zip(keys, nums))
+    totals = {a.id: sum(x[(a.id, j)] for j in commodities) for a in inst.arcs}
+    cap = {a.id: capacity[a.id] * den for a in inst.arcs}
+    com_cap = {key: ccap[key] * den for key in keys}
     outgoing, incoming = inst.outgoing(), inst.incoming()
-    kirchhoff = []
-    for j in range(1, k + 1):
-        com = inst.commodities[j - 1]
-        for v in inst.vertices:
-            if v in (com.source, com.sink):
-                continue
-            out_sum = sum((flow_value(flow, a, j) for a in outgoing[v]), ZERO)
-            in_sum = sum((flow_value(flow, a, j) for a in incoming[v]), ZERO)
-            if out_sum != in_sum:
-                kirchhoff.append((v, j))
-    blocking = []
+    network = (inst.arc_by_id(), outgoing, incoming)
     arc_ranks = {aid: order.ranks() for aid, order in inst.arc_prefs.items()}
-    for j in range(1, k + 1):
-        walk = _find_blocking_walk(inst, flow, j, capacity, ccap, arc_ranks)
-        if walk is not None:
-            blocking.append(walk)
+    walks = (_find_blocking_walk(inst, j, x, totals, cap, com_cap, arc_ranks, network) for j in commodities)
     return FlowReport(
-        kirchhoff_violations=tuple(kirchhoff),
-        capacity_violations=capacity_violations,
-        commodity_capacity_violations=commodity_violations,
-        negative_values=negative,
-        blocking_walks=tuple(blocking),
+        kirchhoff_violations=tuple((v, j) for j in commodities for v in _unbalanced(inst, x, j, outgoing, incoming)),
+        capacity_violations=tuple(a.id for a in inst.arcs if totals[a.id] > cap[a.id]),
+        commodity_capacity_violations=tuple(key for key in keys if x[key] > com_cap[key]),
+        negative_values=tuple(key for key in keys if x[key] < 0),
+        blocking_walks=tuple(walk for walk in walks if walk is not None),
     )
 
 
@@ -218,13 +206,16 @@ def find_fractional_structure(inst: FlowInstance, values: Mapping, j: int) -> Au
     Greedy walk preferring to start at the commodity's source, extending
     along the lowest-id unused fractional arc.  Flow conservation makes a
     dead end impossible anywhere except the source and the sink, so the
-    walk always closes a cycle or connects the terminals; a closed walk
-    that returns to its own start is reported as a cycle.
+    walk always closes a cycle (any revisit, its start included) or
+    connects the source to the sink.  A walk that starts away from the
+    terminals and dead-ends at one (possible only where conservation
+    fails) is read once from that end, with every arc's orientation
+    flipped.
     """
     source = inst.commodities[j - 1].source
     sink = inst.commodities[j - 1].sink
     arc_map = inst.arc_by_id()
-    fractional = [a.id for a in inst.arcs if not _is_integral(Fraction(values.get(a.id, 0)))]
+    fractional = [a.id for a in inst.arcs if not _is_integral(exact(values.get(a.id, 0)))]
     if not fractional:
         raise PreconditionError("no fractional arc to route")
     touching: dict[str, list[str]] = {}
@@ -258,8 +249,7 @@ def find_fractional_structure(inst: FlowInstance, values: Mapping, j: int) -> Au
                 raise InternalError("fractional walk stuck with a non-terminal endpoint")
             reversed_once = True
             vertices.reverse()
-            walk.reverse()
-            walk = [(aid, not fwd) for aid, fwd in walk]
+            walk = [(aid, not forward) for aid, forward in reversed(walk)]
             continue
         aid, forward = step
         used.add(aid)
@@ -271,16 +261,10 @@ def find_fractional_structure(inst: FlowInstance, values: Mapping, j: int) -> Au
             return _finish_structure(inst, values, j, "cycle", cycle_walk, cycle_vertices)
         vertices.append(nxt)
         walk.append((aid, forward))
-    ends = (vertices[0], vertices[-1])
-    if ends[0] == ends[1]:
-        kind = "cycle"
-    else:
-        kind = "st_path"
-        if vertices[0] != source:
-            vertices.reverse()
-            walk.reverse()
-            walk = [(aid, not fwd) for aid, fwd in walk]
-    return _finish_structure(inst, values, j, kind, walk, vertices)
+    # Both ends are terminals and no vertex repeats, so they are the source
+    # and the sink: the source has a fractional arc, the walk started there,
+    # was never flipped, and already reads from the source.
+    return _finish_structure(inst, values, j, "st_path", walk, vertices)
 
 
 def _finish_structure(inst, values, j, kind, walk, vertices) -> AugmentingStructure:
@@ -289,7 +273,7 @@ def _finish_structure(inst, values, j, kind, walk, vertices) -> AugmentingStruct
     up = []
     down = []
     for aid, forward in walk:
-        v = Fraction(values[aid])
+        v = exact(values[aid])
         to_floor = v - floor(v)
         to_ceil = 1 - to_floor
         if forward:
@@ -307,17 +291,6 @@ def _finish_structure(inst, values, j, kind, walk, vertices) -> AugmentingStruct
     )
 
 
-def _source_coefficient(inst: FlowInstance, structure: AugmentingStructure, j: int) -> int:
-    """Net effect of a unit forward augmentation on the commodity's size."""
-    source = inst.commodities[j - 1].source
-    arc_map = inst.arc_by_id()
-    sigma = 0
-    for aid, forward in structure.arcs:
-        if arc_map[aid].tail == source:
-            sigma += 1 if forward else -1
-    return sigma
-
-
 def round_flow(inst: FlowInstance, flow: Mapping, balanced: bool = False, trace: TraceSink | None = None):
     """Round a feasible multiflow to adjacent integers, commodity by commodity.
 
@@ -329,15 +302,16 @@ def round_flow(inst: FlowInstance, flow: Mapping, balanced: bool = False, trace:
     augmentation.
     """
     k = inst.num_commodities
-    g = {(a.id, j): Fraction(flow.get((a.id, j), 0)) for a in inst.arcs for j in range(1, k + 1)}
-    f_sizes = {j: flow_size(inst, flow, j) for j in range(1, k + 1)}
+    f = {(a.id, j): exact(flow.get((a.id, j), 0)) for a in inst.arcs for j in range(1, k + 1)}
+    g = dict(f)
+    f_sizes = {j: flow_size(inst, f, j) for j in range(1, k + 1)}
     f_total = sum(f_sizes.values(), ZERO)
     g_sizes = dict(f_sizes)
     g_total = f_total
     steps = []
-    outgoing, incoming = inst.outgoing(), inst.incoming()
+    arc_map, outgoing, incoming = inst.arc_by_id(), inst.outgoing(), inst.incoming()
     for j in range(1, k + 1):
-        com = inst.commodities[j - 1]
+        source = inst.commodities[j - 1].source
         guard = 0
         while True:
             per_arc = {a.id: g[(a.id, j)] for a in inst.arcs}
@@ -347,7 +321,8 @@ def round_flow(inst: FlowInstance, flow: Mapping, balanced: bool = False, trace:
             if guard > len(inst.arcs) + 1:
                 raise InternalError("rounding failed to make progress")
             structure = find_fractional_structure(inst, per_arc, j)
-            sigma = _source_coefficient(inst, structure, j)
+            # Net effect of a unit forward augmentation on the commodity's size.
+            sigma = sum(1 if forward else -1 for aid, forward in structure.arcs if arc_map[aid].tail == source)
             if structure.kind == "cycle" and sigma == 0:
                 use_up = structure.eps_up < structure.eps_down
             else:
@@ -377,13 +352,8 @@ def round_flow(inst: FlowInstance, flow: Mapping, balanced: bool = False, trace:
                 raise InternalError("per-commodity size drift bound violated")
             if balanced and abs(g_total - f_total) >= 1:
                 raise InternalError("aggregate size drift bound violated")
-            for v in inst.vertices:
-                if v in (com.source, com.sink):
-                    continue
-                out_sum = sum((g[(a, j)] for a in outgoing[v]), ZERO)
-                in_sum = sum((g[(a, j)] for a in incoming[v]), ZERO)
-                if out_sum != in_sum:
-                    raise InternalError("augmentation broke flow conservation")
+            if _unbalanced(inst, g, j, outgoing, incoming):
+                raise InternalError("augmentation broke flow conservation")
             steps.append(
                 {
                     "commodity": j,
@@ -398,15 +368,13 @@ def round_flow(inst: FlowInstance, flow: Mapping, balanced: bool = False, trace:
                     f"round commodity {j}: {structure.kind} of {len(structure.arcs)} arcs, "
                     f"{'up' if use_up else 'down'} by {eps}"
                 )
-    for a in inst.arcs:
-        for j in range(1, k + 1):
-            old = Fraction(flow.get((a.id, j), 0))
-            new = g[(a.id, j)]
-            if _is_integral(old):
-                if new != old:
-                    raise InternalError("integral flow value changed during rounding")
-            elif new not in (floor(old), floor(old) + 1):
-                raise InternalError("rounded value is not an adjacent integer")
+    for key, old in f.items():
+        new = g[key]
+        if _is_integral(old):
+            if new != old:
+                raise InternalError("integral flow value changed during rounding")
+        elif new not in (floor(old), floor(old) + 1):
+            raise InternalError("rounded value is not an adjacent integer")
     g_int = {key: int(v) for key, v in g.items()}
     return g_int, steps
 
@@ -425,13 +393,13 @@ def compute_flow_capacities(inst: FlowInstance, flow: Mapping, rounded: Mapping)
     """
     k = inst.num_commodities
     keys = [(a.id, j) for a in inst.arcs for j in range(1, k + 1)]
-    for arc, j in keys:
-        if flow_value(flow, arc, j) == 0 and rounded.get((arc, j), 0) != 0:
+    f = {key: exact(flow.get(key, 0)) for key in keys}
+    g = {key: exact(rounded.get(key, 0)) for key in keys}
+    for (arc, j), value in g.items():
+        if f[(arc, j)] == 0 and value != 0:
             raise PreconditionError(f"support containment fails on arc {arc!r} commodity {j}")
-        if not _is_integral(Fraction(rounded.get((arc, j), 0))):
+        if not _is_integral(value):
             raise PreconditionError("rounded flow must be integral")
-    f = {key: flow_value(flow, *key) for key in keys}
-    g = {key: int(rounded.get(key, 0)) for key in keys}
     per_commodity = CapacityRevision.read_off({key: inst.commodity_capacity[key] for key in keys}, f, g)
     total_f = {a.id: sum((f[(a.id, j)] for j in range(1, k + 1)), ZERO) for a in inst.arcs}
     total_g = {a.id: sum(g[(a.id, j)] for j in range(1, k + 1)) for a in inst.arcs}
@@ -481,13 +449,12 @@ def round_stable_flow(
     if revision.max_deviation() > max(k - 1, 0):
         raise InternalError(f"aggregate capacity revision exceeds {k - 1}")
     drift_limit = 2 if balanced else 1
-    per_drift = {}
-    for j in range(1, k + 1):
-        drift = abs(flow_size(inst, rounded, j) - flow_size(inst, flow, j))
+    sizes = {j: (flow_size(inst, flow, j), flow_size(inst, rounded, j)) for j in range(1, k + 1)}
+    per_drift = {j: abs(r - f) for j, (f, r) in sizes.items()}
+    for j, drift in per_drift.items():
         if drift >= drift_limit:
             raise InternalError(f"size drift bound violated for commodity {j}")
-        per_drift[j] = drift
-    total_drift = abs(aggregate_size(inst, rounded) - aggregate_size(inst, flow))
+    total_drift = abs(sum((r - f for f, r in sizes.values()), ZERO))
     if balanced and total_drift >= 1:
         raise InternalError("aggregate size drift bound violated")
     if not balanced and total_drift >= k:
@@ -509,13 +476,7 @@ def round_stable_flow(
         "capacity": {
             a.id: {"original": inst.capacity[a.id], "revised": caps.aggregate[a.id]} for a in inst.arcs
         },
-        "flow_sizes": {
-            str(j): {
-                "fractional": str(flow_size(inst, flow, j)),
-                "rounded": str(flow_size(inst, rounded, j)),
-            }
-            for j in range(1, k + 1)
-        },
+        "flow_sizes": {str(j): {"fractional": str(f), "rounded": str(r)} for j, (f, r) in sizes.items()},
         "verifier": {
             "stable": final.stable,
             "feasible": final.feasible,

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -6,6 +7,7 @@ import pytest
 
 from conftest import single_arc_flow_instance
 from nearstable.errors import InternalError, PreconditionError, UnstableInputError
+from nearstable.fileformat import canonical_dumps
 from nearstable.model import Arc, Commodity, FlowInstance, validate
 from nearstable.oracle import GeneratorConfig, generate
 from nearstable.orders import WeakOrder
@@ -172,6 +174,25 @@ def test_structure_prefers_source_start():
     st = find_fractional_structure(inst, values, 1)
     assert st.kind == "st_path"
     assert st.vertices[0] == "s"
+
+
+def test_structure_flips_a_walk_read_from_its_other_end():
+    # No fractional arc at s: the walk starts at a, dead-ends at t, is read
+    # from t (a -> c now backward) and closes the cycle c, a, d, c.
+    arcs = (Arc("ac", "a", "c"), Arc("ct", "c", "t"), Arc("ad", "a", "d"), Arc("dc", "d", "c"))
+    inst = FlowInstance(
+        vertices=("s", "t", "a", "c", "d"),
+        arcs=arcs,
+        commodities=(Commodity("s", "t"),),
+        capacity={a.id: 1 for a in arcs},
+        commodity_capacity={(a.id, 1): 1 for a in arcs},
+        vertex_prefs={},
+        arc_prefs={},
+    )
+    st = find_fractional_structure(inst, {a.id: F(1, 2) for a in arcs}, 1)
+    assert st.kind == "cycle"
+    assert st.vertices == ("c", "a", "d", "c")
+    assert st.arcs == (("ac", False), ("ad", True), ("dc", True))
 
 
 def test_structure_requires_a_fractional_arc():
@@ -350,3 +371,66 @@ def test_round_deterministic():
     second = round_stable_flow(inst, flow)
     assert first.certificate == second.certificate
     assert first.rounded == second.rounded
+
+
+# -- pinned behaviour ---------------------------------------------------------
+
+# Generated flows (k = 1..3, seeds 0..19) and, per flow, five keys each
+# raised by 1/3, negated, zeroed and raised by 2.
+PERTURBATIONS = {
+    "raised": lambda v: v + F(1, 3),
+    "negated": lambda v: -v if v else F(-1),
+    "zeroed": lambda v: 0,
+    "plus2": lambda v: v + 2,
+}
+
+# SHA-256 over `repr` of every `verify_flow` report, and over every
+# `round_stable_flow` outcome in both modes: certificate, steps and rounded
+# flow, or the error's type and message.
+VERIFY_DIGEST = "04f2fc432071203a630d11acc49fd6c6ddcbd765bdf115ffc67e5963721763c3"
+ROUND_DIGEST = "81e5641456326ca961c4588b80e4f1bce029652fb5074b6db53b23c467e0d30b"
+
+
+def _pinned_flows():
+    for k in (1, 2, 3):
+        for seed in range(20):
+            inst, flow = generate(GeneratorConfig(family="smf", seed=seed, commodities=k))
+            yield inst, flow
+            rng = random.Random(1000 * k + seed)
+            keys = sorted(flow)
+            for change in PERTURBATIONS.values():
+                for key in rng.sample(keys, 5):
+                    yield inst, {**flow, key: change(flow[key])}
+
+
+def test_verify_flow_and_rounding_pinned():
+    verify_digest, round_digest = hashlib.sha256(), hashlib.sha256()
+    nonempty = dict.fromkeys(("kirchhoff", "capacity", "commodity", "negative", "blocking"), 0)
+    rounded = 0
+    for inst, flow in _pinned_flows():
+        report = verify_flow(inst, flow)
+        verify_digest.update(repr(report).encode("utf-8") + b"\n")
+        fields = (
+            report.kirchhoff_violations,
+            report.capacity_violations,
+            report.commodity_capacity_violations,
+            report.negative_values,
+            report.blocking_walks,
+        )
+        for name, field in zip(nonempty, fields):
+            nonempty[name] += bool(field)
+        for balanced in (False, True):
+            try:
+                result = round_stable_flow(inst, flow, balanced=balanced)
+            except (PreconditionError, UnstableInputError) as exc:
+                outcome = f"{type(exc).__name__}: {exc}"
+            else:
+                rounded += bool(result.rounding_steps)
+                outcome = canonical_dumps(
+                    [result.certificate, result.rounding_steps, sorted(result.rounded.items())]
+                )
+            round_digest.update(outcome.encode("utf-8") + b"\n")
+    assert all(count > 200 for count in nonempty.values()), nonempty
+    assert rounded > 200
+    assert verify_digest.hexdigest() == VERIFY_DIGEST
+    assert round_digest.hexdigest() == ROUND_DIGEST

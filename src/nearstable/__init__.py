@@ -47,7 +47,7 @@ from .oracle import (
     generate,
 )
 from .orders import WeakOrder, break_ties, strict_order
-from .polytope import LinearRow, LinearSystem, extreme_point, is_vertex, rank_of_tight_rows
+from .polytope import LinearRow, LinearSystem, extreme_point
 from .scarf import (
     DominatingPoint,
     ScarfProblem,

@@ -19,7 +19,7 @@ from typing import Mapping
 from .errors import InputError, InternalError, PreconditionError
 from .model import CacqInstance, CapacityRevision, CollegeSet, normalize_cacq, require_valid
 from .orders import break_ties
-from .polytope import ONE, LinearRow, exact, int_dot, iterative_rounding, scale
+from .polytope import LinearRow, exact, int_dot, iterative_rounding, scale
 from .scarf import (
     DEFAULT_PIVOT_BUDGET,
     ScarfBuild,
@@ -117,9 +117,9 @@ def _cacq_rule(sets, rows, ell, z, fractional, active):
     for tight, allowance in ((False, 2 * ell - 1), (True, 2 * ell)):
         for i in active:
             if i < len(sets):
-                coeffs, quota = rows[i].scaled
-                mass = sum(1 for j, _ in coeffs if j in fractional)
-                if (int_dot(coeffs, nums) == quota * den) == tight and mass <= allowance:
+                row = rows[i]
+                mass = sum(1 for j, _ in row.coeffs if j in fractional)
+                if (int_dot(row.coeffs, nums) == row.rhs * den) == tight and mass <= allowance:
                     kind = "tight" if tight else "non-tight"
                     return i, sets[i].id, kind, f"{kind} set {sets[i].id}"
     return None
@@ -138,14 +138,10 @@ def round_cacq(inst: CacqInstance, x_star: Mapping, trace: TraceSink | None = No
     pinned = pinned_students(inst, x_star)
     sets = [cs for cs in inst.sets if cs.quota > 0]
     rows = [
-        LinearRow(
-            tuple((j, ONE) for j, e in enumerate(inst.edges) if e.college in cs.colleges), "le", Fraction(cs.quota)
-        )
+        LinearRow(tuple((j, 1) for j, e in enumerate(inst.edges) if e.college in cs.colleges), "le", cs.quota)
         for cs in sets
     ] + [
-        LinearRow(
-            tuple((j, ONE) for j, e in enumerate(inst.edges) if e.student == s), "eq" if s in pinned else "le", ONE
-        )
+        LinearRow(tuple((j, 1) for j, e in enumerate(inst.edges) if e.student == s), "eq" if s in pinned else "le", 1)
         for s in inst.students
     ]
     z, steps = iterative_rounding(

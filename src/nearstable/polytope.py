@@ -1,14 +1,14 @@
 """Exact rational linear algebra, linear programming and iterative rounding.
 
-A row is a tuple of (column, nonzero Fraction) pairs in increasing column
-order; the Scarf matrix and the LP's constraints both use it, and `sparse`
-is the one adapter from a dense coefficient vector.
+A row is an `IntRow`, a tuple of (column, nonzero int) pairs in increasing
+column order; the Scarf matrix and the LP's constraints both use it, and
+`sparse` is the one adapter from a dense coefficient vector.  A
+`LinearRow` holds int coefficients and an int rhs; a rational constraint
+is written as one by multiplying it by the lcm of its denominators.
 
-Rows are evaluated in integers, by `int_dot` on a row scaled to integers.
-`scale` writes rational values as integer numerators over the lcm of their
-denominators: a point is scaled once, a `LinearRow` and its rhs are scaled
-once (`LinearRow.scaled`, made on first use; the Scarf problem keeps the
-same for its rows and bounds), and the LP's reduced constraints, bounds and
+Rows are evaluated in integers, by `int_dot`.  `scale` writes rational
+values as integer numerators over the lcm of their denominators: a point
+is scaled once, and the LP's reduced constraints, bounds and
 fixed-variable shifts are stored scaled.  Every scale factor is positive,
 so signs, tightness and the ratios of the step test are those of the
 rational rows, and directions and multipliers change only by positive
@@ -17,11 +17,11 @@ arithmetic gives.
 
 All elimination runs through one integer kernel, `_echelon`: integer rows
 are reduced in input order without division and divided by their content,
-so positively scaled inputs leave the same rows.  `nullspace_vector`,
-`solve_square`, the vertex checks (`rank_of_tight_rows` and the Scarf
-engine's `certify_extreme`) and the active-set start of the simplex are
-each a reading of its output, so they agree with one another and with
-Fraction elimination in the same order.
+so positively scaled inputs leave the same rows.  The null vector of the
+purification step, the exact solves of the simplex, the Scarf engine's
+vertex certificate (`certify_extreme`) and the active-set start of the
+simplex are each a reading of its output, so they agree with one another
+and with Fraction elimination in the same order.
 
 Systems are given as equality/inequality rows plus per-variable bounds and a
 set of variables fixed to constants.  `extreme_point` walks from a feasible
@@ -30,19 +30,17 @@ a Bland-rule active-set simplex.  After the fixed variables are substituted
 out, the constraints form one list in Bland order (equalities, `<=` rows,
 lower bounds as `-x_i <= -lo_i`, finite upper bounds), and a constraint's
 index is its tie-break key.  Results are exact `fractions.Fraction` values
-and deterministic.  `rank_of_tight_rows` certifies vertexhood: a feasible
-point is a vertex iff the rows tight at it (bound rows included) have rank
-equal to the number of unfixed variables.  `iterative_rounding` is the
-rounding loop both capacity-revision pipelines share: delete one row by a
-pipeline's rule, fix the integral coordinates, re-solve with
-`extreme_point`, repeat until the vector is integral.
+and deterministic; a returned point is a vertex, since the constraints
+tight at it have rank equal to the number of unfixed variables.
+`iterative_rounding` is the rounding loop both capacity-revision pipelines
+share: delete one row by a pipeline's rule, fix the integral coordinates,
+re-solve with `extreme_point`, repeat until the vector is integral.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 from typing import Callable, Iterable, Sequence
@@ -50,7 +48,6 @@ from typing import Callable, Iterable, Sequence
 from .errors import InternalError, PreconditionError
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 _SIMPLEX_BUDGET_FACTOR = 2000
 
@@ -59,15 +56,19 @@ def _is_integral(value: Fraction) -> bool:
     return value.denominator == 1
 
 
-Row = tuple[tuple[int, Fraction], ...]
+def _is_int(value) -> bool:
+    """True for an int and False for anything else, bool included."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 IntRow = tuple[tuple[int, int], ...]
 # Integer numerators and their positive common denominator: nums[i] / den.
 Point = tuple[list[int], int]
 
 
-def sparse(dense: Iterable) -> Row:
-    """The row of a dense coefficient vector: its nonzero entries by column."""
-    return tuple((j, Fraction(v)) for j, v in enumerate(dense) if v != 0)
+def sparse(dense: Iterable) -> IntRow:
+    """The row of a dense coefficient vector: its nonzero entries by column, as given."""
+    return tuple((j, v) for j, v in enumerate(dense) if v != 0)
 
 
 def exact(value) -> int | Fraction:
@@ -124,10 +125,14 @@ def _echelon(rows: Iterable[list[int]]) -> list[tuple[int, int, list[int]]]:
 
 
 def _null_vector(kept: list[tuple[int, int, list[int]]], dim: int) -> Point | None:
-    """`nullspace_vector` of the rows `_echelon` kept, as an integer point.
+    """A nonzero integer point w with b . w = 0 for the rows `_echelon` kept, or None.
 
-    The lead coordinates are back-substituted in integers: before each one
-    the vector is multiplied by the least positive factor that makes it
+    Deterministic: w is 1 (over its denominator) on the lowest-index column
+    without a lead and 0 on the other such columns.  The lead coordinates
+    are solved in reverse order of insertion: a kept row vanishes on the
+    leads of earlier rows, so every other coordinate it touches is known by
+    then.  They are back-substituted in integers: before each one the
+    vector is multiplied by the least positive factor that makes it
     integral, so the numerators end primitive and the denominator is the
     numerator of the free column that carries the 1.
     """
@@ -150,21 +155,6 @@ def _null_vector(kept: list[tuple[int, int, list[int]]], dim: int) -> Point | No
     return w, w[free]
 
 
-def nullspace_vector(vectors: Iterable[Sequence[Fraction]], dim: int) -> list[Fraction] | None:
-    """Some nonzero w with v . w = 0 for every v, or None if none exists.
-
-    Deterministic: w is 1 on the lowest-index column without a lead after
-    elimination and 0 on the other such columns.  The lead coordinates are
-    solved in reverse order of insertion: a kept row vanishes on the leads
-    of earlier rows, so every other coordinate it touches is known by then.
-    """
-    w = _null_vector(_echelon(scale(vec)[0] for vec in vectors), dim)
-    if w is None:
-        return None
-    nums, den = w
-    return [Fraction(v, den) for v in nums]
-
-
 def _solution(augmented: Iterable[list[int]], n: int) -> Point:
     """x with M x = rhs, from the integer rows [M | -rhs] of a square system.
 
@@ -179,12 +169,6 @@ def _solution(augmented: Iterable[list[int]], n: int) -> Point:
     return w[0][:n], w[1]
 
 
-def solve_square(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction]:
-    """Solve M x = rhs for square nonsingular M, exactly."""
-    nums, den = _solution((scale([*row, -b])[0] for row, b in zip(matrix, rhs)), len(matrix))
-    return [Fraction(v, den) for v in nums]
-
-
 # ---------------------------------------------------------------------------
 # linear systems
 # ---------------------------------------------------------------------------
@@ -192,15 +176,9 @@ def solve_square(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) 
 
 @dataclass(frozen=True)
 class LinearRow:
-    coeffs: Row
+    coeffs: IntRow
     relation: str  # "le" or "eq"
-    rhs: Fraction
-
-    @cached_property
-    def scaled(self) -> tuple[IntRow, int]:
-        """The row and its rhs times the lcm of their denominators, made on first use."""
-        nums, _ = scale([self.rhs, *(c for _, c in self.coeffs)])
-        return tuple((j, c) for (j, _), c in zip(self.coeffs, nums[1:])), nums[0]
+    rhs: int
 
 
 @dataclass(frozen=True)
@@ -224,6 +202,8 @@ class LinearSystem:
                 raise PreconditionError("row column outside 0..num_vars-1")
             if row.relation not in ("le", "eq"):
                 raise PreconditionError(f"unknown relation {row.relation!r}")
+            if not _is_int(row.rhs) or not all(_is_int(c) for _, c in row.coeffs):
+                raise PreconditionError("row coefficients and rhs must be ints")
         self._check_fixed(self.fixed)
 
     def _check_fixed(self, fixed: dict):
@@ -257,8 +237,7 @@ def is_feasible(sys: LinearSystem, x: Sequence[Fraction]) -> bool:
         if up is not None and v * up.denominator > up.numerator * den:
             return False
     for row in sys.rows:
-        coeffs, rhs = row.scaled
-        lhs, rhs = int_dot(coeffs, nums), rhs * den
+        lhs, rhs = int_dot(row.coeffs, nums), row.rhs * den
         if lhs > rhs or (row.relation == "eq" and lhs != rhs):
             return False
     return True
@@ -285,10 +264,9 @@ class _Reduced:
         fixed = dict(zip(sys.fixed, values))
         eq, le = [], []
         for row in sys.rows:
-            coeffs, rhs = row.scaled
-            reduced = tuple((pos[j], den * c) for j, c in coeffs if j in pos)
-            shift = sum(c * fixed[j] for j, c in coeffs if j not in pos)
-            (eq if row.relation == "eq" else le).append((reduced, den * rhs - shift))
+            reduced = tuple((pos[j], den * c) for j, c in row.coeffs if j in pos)
+            shift = sum(c * fixed[j] for j, c in row.coeffs if j not in pos)
+            (eq if row.relation == "eq" else le).append((reduced, den * row.rhs - shift))
         self.num_eq = len(eq)
         bounds = [(sys.lower[j], sys.upper[j]) for j in self.free]
         lower = [(((i, -lo.denominator),), -lo.numerator) for i, (lo, _) in enumerate(bounds)]
@@ -511,19 +489,3 @@ def iterative_rounding(
         steps.append(step)
         if trace is not None:
             trace(line)
-
-
-def rank_of_tight_rows(sys: LinearSystem, x: Sequence[Fraction]) -> int:
-    """Exact rank of the constraint rows (bounds included) tight at x.
-
-    Fixed variables are substituted out first, so a returned vertex always
-    scores exactly the number of unfixed variables.
-    """
-    red = _Reduced(sys)
-    return len(_echelon(red.dense(k) for k in red.tight(red.reduce(x))))
-
-
-def is_vertex(sys: LinearSystem, x: Sequence[Fraction]) -> bool:
-    return is_feasible(sys, x) and rank_of_tight_rows(sys, x) == sum(
-        1 for j in range(sys.num_vars) if j not in sys.fixed
-    )

@@ -1,17 +1,18 @@
 """Dominance solver for Scarf-type problems via complementary pivoting.
 
-A problem is a nonnegative rational matrix Q over `num_cols` columns, each
-nonzero in some row, given as sparse rows (`polytope.Row`: (column,
-positive Fraction) pairs in increasing column order); a positive bound
-vector d; and one strict order per row over that row's columns.
+A problem is a nonnegative integer matrix Q over `num_cols` columns, each
+nonzero in some row, given as sparse rows (`polytope.IntRow`: (column,
+positive int) pairs in increasing column order); a positive integer bound
+vector d; and one strict order per row over that row's columns.  Rational
+data enters only through `make_problem`, which multiplies the whole dense
+matrix and the bounds by the lcm of all their denominators.
 `solve_scarf` returns an extreme point of {Qx <= d, x >= 0} together with,
 for every column, a row that dominates it: the row is tight at x and
 weakly prefers every positively-used column.
 
-The problem keeps one integer form of its rows and bounds (`scaled`: all
-of them times the lcm of their denominators), read by the tableau and by
-the two self-checks.  `verify_dominating` and `certify_extreme` scale the
-point once and evaluate every row in integers; a tight row witnesses the
+The tableau and the two self-checks read the integer rows and bounds as
+they are.  `verify_dominating` and `certify_extreme` scale the point once
+and evaluate every row in integers; a tight row witnesses the
 columns ranked no better than its worst used column, and the tight rows
 restricted to the support go straight to the elimination kernel.
 
@@ -39,12 +40,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import lcm
 from typing import Callable, Sequence
 
 from .errors import InputError, InternalError, ResourceLimitError
-from .polytope import ONE, ZERO, IntRow, Row, _echelon, int_dot, scale, sparse
+from .polytope import ZERO, IntRow, _echelon, _is_int, exact, int_dot, scale, sparse
 
 DEFAULT_PIVOT_BUDGET = 10_000_000
 
@@ -53,10 +52,10 @@ TraceSink = Callable[[str], None]
 
 @dataclass(frozen=True)
 class ScarfProblem:
-    """Sparse rows over `num_cols` columns, bounds, and strict per-row column orders (best first)."""
+    """Sparse integer rows over `num_cols` columns, int bounds, and strict per-row column orders (best first)."""
 
-    rows: tuple[Row, ...]
-    bounds: tuple[Fraction, ...]
+    rows: tuple[IntRow, ...]
+    bounds: tuple[int, ...]
     row_orders: tuple[tuple[int, ...], ...]
     num_cols: int
 
@@ -73,14 +72,14 @@ class ScarfProblem:
             if any(a >= b for a, b in zip(cols, cols[1:])):
                 raise InputError(f"columns of row {i} must be strictly increasing")
             # A stored zero would count its column as covered and ranked.
-            if any(v <= 0 for _, v in row):
-                raise InputError("stored matrix entries must be positive")
+            if any(not _is_int(v) or v <= 0 for _, v in row):
+                raise InputError("stored matrix entries must be positive ints")
             if sorted(self.row_orders[i]) != cols:
                 raise InputError(f"order of row {i} must cover exactly its nonzero columns")
             covered.update(cols)
         for i, b in enumerate(self.bounds):
-            if b <= 0:
-                raise InputError(f"bound of row {i} must be positive; pre-eliminate zero rows")
+            if not _is_int(b) or b <= 0:
+                raise InputError(f"bound of row {i} must be a positive int; pre-eliminate zero rows")
         if len(covered) != m:
             j = min(set(range(m)) - covered)
             raise InputError(f"column {j} has no nonzero entry")
@@ -89,22 +88,20 @@ class ScarfProblem:
     def num_rows(self) -> int:
         return len(self.rows)
 
-    @cached_property
-    def scaled(self) -> tuple[tuple[IntRow, ...], tuple[int, ...]]:
-        """Rows and bounds times the lcm of all their denominators, in integers."""
-        factor = lcm(*[v.denominator for row in self.rows for _, v in row], *[b.denominator for b in self.bounds])
-        rows = tuple(tuple((j, v.numerator * (factor // v.denominator)) for j, v in row) for row in self.rows)
-        return rows, tuple(b.numerator * (factor // b.denominator) for b in self.bounds)
-
 
 def make_problem(rows, bounds, row_orders) -> ScarfProblem:
-    """A problem from a dense matrix (rows of equal length)."""
+    """A problem from a dense rational matrix (rows of equal length) and bounds.
+
+    The matrix and the bounds are multiplied by the lcm of all their
+    denominators, so the problem holds integers.
+    """
     m = len(rows[0]) if rows else 0
     if any(len(row) != m for row in rows):
         raise InputError("ragged matrix")
+    nums, _ = scale([exact(v) for row in rows for v in row] + [exact(b) for b in bounds])
     return ScarfProblem(
-        rows=tuple(sparse(row) for row in rows),
-        bounds=tuple(Fraction(b) for b in bounds),
+        rows=tuple(sparse(nums[i * m : (i + 1) * m]) for i in range(len(rows))),
+        bounds=tuple(nums[len(rows) * m :]),
         row_orders=tuple(tuple(order) for order in row_orders),
         num_cols=m,
     )
@@ -137,8 +134,8 @@ class ScarfBuild:
         col_index = {eid: j for j, eid in enumerate(columns)}
         matrix, bounds, orders = [], [], []
         for bound, members, ranked in rows:
-            matrix.append(tuple((j, ONE) for j in sorted(col_index[eid] for eid in members if eid in col_index)))
-            bounds.append(Fraction(bound))
+            matrix.append(tuple((j, 1) for j in sorted(col_index[eid] for eid in members if eid in col_index)))
+            bounds.append(bound)
             orders.append(tuple(col_index[eid] for eid in ranked if eid in col_index))
         problem = ScarfProblem(tuple(matrix), tuple(bounds), tuple(orders), len(columns))
         return cls(problem, columns, tuple(fixed_zero))
@@ -169,9 +166,9 @@ def verify_dominating(problem: ScarfProblem, x: Sequence[Fraction]) -> Dominatio
     every column of row i that x uses (a nonzero value) is weakly
     preferred to j by that row's order.
     """
-    nums, den = scale([Fraction(v) for v in x])
-    rows, bounds = problem.scaled
-    values = [int_dot(row, nums) for row in rows]
+    nums, den = scale([exact(v) for v in x])
+    bounds = problem.bounds
+    values = [int_dot(row, nums) for row in problem.rows]
     witnesses = [[] for _ in range(problem.num_cols)]
     for i, order in enumerate(problem.row_orders):
         if values[i] != bounds[i] * den:
@@ -197,14 +194,13 @@ def certify_extreme(problem: ScarfProblem, x: Sequence[Fraction]) -> bool:
     S of x, so x is a vertex iff the restricted rows have rank |S|.  The
     integer rows go straight to the elimination kernel.
     """
-    nums, den = scale([Fraction(v) for v in x])
+    nums, den = scale([exact(v) for v in x])
     if any(v < 0 for v in nums):
         raise InputError("point has negative entries")
     position = {j: p for p, j in enumerate(j for j, v in enumerate(nums) if v)}
-    rows, bounds = problem.scaled
     vectors = []
-    for i, row in enumerate(rows):
-        value, limit = int_dot(row, nums), bounds[i] * den
+    for i, row in enumerate(problem.rows):
+        value, limit = int_dot(row, nums), problem.bounds[i] * den
         if value > limit:
             raise InputError(f"point violates row {i}")
         if value == limit:
@@ -264,10 +260,9 @@ class _Tableau:
 
     def __init__(self, problem: ScarfProblem):
         n, m = problem.num_rows, problem.num_cols
-        rows, bounds = problem.scaled
         self.n, self.m = n, m
-        self.rows = [{i: 1, **{n + j: v for j, v in rows[i]}} for i in range(n)]
-        self.rhs = list(bounds)
+        self.rows = [{i: 1, **{n + j: v for j, v in row}} for i, row in enumerate(problem.rows)]
+        self.rhs = list(problem.bounds)
         self.den = 1
         self.basis = list(range(n))
 

@@ -26,7 +26,7 @@ from typing import Mapping
 from .errors import InputError, InternalError, PreconditionError
 from .model import CapacityRevision, HyperEdge, HypergraphInstance, require_valid
 from .orders import WeakOrder, break_ties
-from .polytope import ONE, LinearRow, _is_integral, exact, iterative_rounding, scale, sparse
+from .polytope import LinearRow, _is_integral, exact, iterative_rounding, scale, sparse
 from .scarf import (
     DEFAULT_PIVOT_BUDGET,
     ScarfBuild,
@@ -143,19 +143,17 @@ def round_shm(inst: HypergraphInstance, x_star: Mapping, trace: TraceSink | None
         if loads[v] != inst.capacities[v]:
             raise PreconditionError(f"vertex row {v!r} is not tight at the fractional point")
     incident = inst.incident()
-    objective = tuple(Fraction(len(e.vertices)) for e in inst.edges)
+    objective = tuple(len(e.vertices) for e in inst.edges)
     rows = [
-        LinearRow(
-            tuple((j, ONE) for j in sorted(index[eid] for eid in incident[v])), "eq", Fraction(inst.capacities[v])
-        )
+        LinearRow(tuple((j, 1) for j in sorted(index[eid] for eid in incident[v])), "eq", inst.capacities[v])
         for v in inst.vertices
     ]
-    rows.append(LinearRow(sparse(objective), "eq", Fraction(sum(inst.capacities[v] for v in inst.vertices))))
+    rows.append(LinearRow(sparse(objective), "eq", sum(inst.capacities[v] for v in inst.vertices)))
     z, steps = iterative_rounding(
         [Fraction(x_star[eid]) for eid in edges],
         rows,
         partial(_shm_rule, inst.vertices, rows, inst.max_edge_size),
-        upper=ONE,
+        upper=1,
         objective=objective,
         trace=trace,
     )

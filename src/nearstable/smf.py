@@ -66,10 +66,6 @@ def flow_size(inst: FlowInstance, flow: Mapping, j: int) -> Fraction:
     return sum((exact(flow.get((a.id, j), 0)) for a in inst.arcs if a.tail == source), ZERO)
 
 
-def aggregate_size(inst: FlowInstance, flow: Mapping) -> Fraction:
-    return sum((flow_size(inst, flow, j) for j in range(1, inst.num_commodities + 1)), ZERO)
-
-
 def _unbalanced(inst: FlowInstance, values: Mapping, j: int, outgoing, incoming) -> list[str]:
     """The vertices other than commodity j's terminals where its flow is not conserved."""
     terminals = (inst.commodities[j - 1].source, inst.commodities[j - 1].sink)
@@ -229,7 +225,6 @@ def find_fractional_structure(inst: FlowInstance, values: Mapping, j: int) -> Au
     used: set[str] = set()
     vertices = [start]
     walk: list[tuple[str, bool]] = []
-    reversed_once = False
     while True:
         current = vertices[-1]
         step = None
@@ -245,9 +240,8 @@ def find_fractional_structure(inst: FlowInstance, values: Mapping, j: int) -> Au
                 raise InternalError("fractional walk stuck at an interior vertex")
             if start_terminal:
                 break
-            if reversed_once:
-                raise InternalError("fractional walk stuck with a non-terminal endpoint")
-            reversed_once = True
+            # Read the walk from the terminal it dead-ended at: it now starts
+            # at a terminal, so its next dead end breaks out or is interior.
             vertices.reverse()
             walk = [(aid, not forward) for aid, forward in reversed(walk)]
             continue

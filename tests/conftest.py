@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -17,12 +18,63 @@ from nearstable.model import (
     HypergraphInstance,
 )
 from nearstable.orders import WeakOrder
-from nearstable.polytope import _echelon, scale
+from nearstable.polytope import (
+    ZERO,
+    LinearRow,
+    LinearSystem,
+    _echelon,
+    _null_vector,
+    _Reduced,
+    _solution,
+    is_feasible,
+    scale,
+    sparse,
+)
+from nearstable.smf import flow_size
 
 
 def exact_rank(vectors) -> int:
     """Rank of a list of rational row vectors: the rows the elimination kernel keeps."""
     return len(_echelon(scale(vec)[0] for vec in vectors))
+
+
+def nullspace_vector(vectors, dim: int) -> list[Fraction] | None:
+    """Some nonzero w with v . w = 0 for every rational vector v, or None if none exists."""
+    w = _null_vector(_echelon(scale(vec)[0] for vec in vectors), dim)
+    if w is None:
+        return None
+    nums, den = w
+    return [Fraction(v, den) for v in nums]
+
+
+def solve_square(matrix, rhs) -> list[Fraction]:
+    """Solve M x = rhs for a square nonsingular rational M, exactly."""
+    nums, den = _solution((scale([*row, -b])[0] for row, b in zip(matrix, rhs)), len(matrix))
+    return [Fraction(v, den) for v in nums]
+
+
+def rational_row(dense, relation: str, rhs) -> LinearRow:
+    """A rational dense row and its rhs, both times the lcm of their denominators."""
+    nums, _ = scale([Fraction(rhs), *map(Fraction, dense)])
+    return LinearRow(sparse(nums[1:]), relation, nums[0])
+
+
+def rank_of_tight_rows(sys: LinearSystem, x) -> int:
+    """Exact rank of the constraint rows (bounds included) tight at x, fixed variables substituted out."""
+    red = _Reduced(sys)
+    return len(_echelon(red.dense(k) for k in red.tight(red.reduce(x))))
+
+
+def is_vertex(sys: LinearSystem, x) -> bool:
+    """x is feasible and its tight rows have rank equal to the number of unfixed variables."""
+    return is_feasible(sys, x) and rank_of_tight_rows(sys, x) == sum(
+        1 for j in range(sys.num_vars) if j not in sys.fixed
+    )
+
+
+def aggregate_size(inst: FlowInstance, flow) -> Fraction:
+    """The flow's size summed over all commodities."""
+    return sum((flow_size(inst, flow, j) for j in range(1, inst.num_commodities + 1)), ZERO)
 
 
 def triangle_instance() -> HypergraphInstance:

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import triangle_instance
+from conftest import aggregate_size, triangle_instance
 from nearstable import fileformat as ff
 from nearstable.cacq import solve_cacq
 from nearstable.model import normalize_cacq
@@ -24,7 +24,7 @@ from nearstable.oracle import (
 )
 from nearstable.scarf import certify_extreme, make_problem, solve_scarf, verify_dominating
 from nearstable.shm import solve_shm, verify_shm
-from nearstable.smf import aggregate_size, flow_size, round_stable_flow, verify_flow
+from nearstable.smf import flow_size, round_stable_flow, verify_flow
 
 SUITE_SHM = 200
 SUITE_FIXTURES = 200

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import is_vertex
 from nearstable.cacq import solve_cacq, verify_cacq
 from nearstable.errors import InputError
 from nearstable.model import (
@@ -20,7 +21,7 @@ from nearstable.model import (
     validate,
 )
 from nearstable.orders import WeakOrder
-from nearstable.polytope import LinearRow, LinearSystem, extreme_point, is_vertex, sparse
+from nearstable.polytope import LinearRow, LinearSystem, extreme_point, sparse
 from nearstable.shm import add_saturation_gadget, solve_shm, verify_shm
 from nearstable.smf import verify_flow
 
@@ -176,15 +177,15 @@ def test_birkhoff_polytope_degenerate_pivoting():
         cost = [[F(rng.randint(-4, 6)) for _ in range(n)] for _ in range(n)]
         rows = []
         for i in range(n):  # row sums
-            coeffs = [F(0)] * (n * n)
+            coeffs = [0] * (n * n)
             for j in range(n):
-                coeffs[i * n + j] = F(1)
-            rows.append(LinearRow(sparse(coeffs), "eq", F(1)))
+                coeffs[i * n + j] = 1
+            rows.append(LinearRow(sparse(coeffs), "eq", 1))
         for j in range(n):  # column sums
-            coeffs = [F(0)] * (n * n)
+            coeffs = [0] * (n * n)
             for i in range(n):
-                coeffs[i * n + j] = F(1)
-            rows.append(LinearRow(sparse(coeffs), "eq", F(1)))
+                coeffs[i * n + j] = 1
+            rows.append(LinearRow(sparse(coeffs), "eq", 1))
         sys_ = LinearSystem(n * n, tuple(rows), (F(0),) * (n * n), (F(1),) * (n * n))
         warm = tuple(F(1, n) for _ in range(n * n))  # the doubly stochastic center
         objective = tuple(cost[i][j] for i in range(n) for j in range(n))

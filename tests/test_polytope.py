@@ -5,7 +5,7 @@ from math import lcm
 
 import pytest
 
-from conftest import exact_rank
+from conftest import exact_rank, is_vertex, nullspace_vector, rank_of_tight_rows, rational_row, solve_square
 from nearstable.errors import InternalError, PreconditionError
 from nearstable.polytope import (
     LinearRow,
@@ -15,10 +15,6 @@ from nearstable.polytope import (
     _Reduced,
     extreme_point,
     is_feasible,
-    is_vertex,
-    nullspace_vector,
-    rank_of_tight_rows,
-    solve_square,
     sparse,
 )
 
@@ -43,7 +39,7 @@ def test_aggregate_residual_forces_half():
     # one equality 2(x0 + x1 + x2) = 3 with x1 = 1 and x2 = 0 fixed
     sys_ = LinearSystem(
         3,
-        (LinearRow(sparse((2, 2, 2)), "eq", F(3)),),
+        (LinearRow(sparse((2, 2, 2)), "eq", 3),),
         (F(0),) * 3,
         (F(1),) * 3,
         fixed={1: F(1), 2: F(0)},
@@ -59,9 +55,9 @@ def test_interior_point_rank_zero():
 
 def test_odd_cycle_rows_have_full_rank_at_half_point():
     rows = (
-        LinearRow(sparse((1, 0, 1)), "eq", F(1)),
-        LinearRow(sparse((1, 1, 0)), "eq", F(1)),
-        LinearRow(sparse((0, 1, 1)), "eq", F(1)),
+        LinearRow(sparse((1, 0, 1)), "eq", 1),
+        LinearRow(sparse((1, 1, 0)), "eq", 1),
+        LinearRow(sparse((0, 1, 1)), "eq", 1),
     )
     sys_ = LinearSystem(3, rows, (F(0),) * 3, (F(1),) * 3)
     half = (F(1, 2),) * 3
@@ -77,11 +73,20 @@ def test_midpoint_of_square_edge_is_not_vertex():
 
 def test_row_column_outside_num_vars_rejected():
     with pytest.raises(PreconditionError):
-        LinearSystem(2, (LinearRow(sparse((1, 0, 1)), "le", F(1)),), (F(0),) * 2, (F(1),) * 2)
+        LinearSystem(2, (LinearRow(sparse((1, 0, 1)), "le", 1),), (F(0),) * 2, (F(1),) * 2)
+
+
+def test_rows_hold_ints_only():
+    """A Fraction coefficient or rhs is rejected even when it is integral, and so is a bool."""
+    bad = [(((0, F(1)),), 1), (((0, 1),), F(1)), (((0, F(1, 2)),), 1), (((0, True),), 1), (((0, 1),), True)]
+    for coeffs, rhs in bad:
+        with pytest.raises(PreconditionError):
+            LinearSystem(1, (LinearRow(coeffs, "le", rhs),), (F(0),), (F(1),))
+    assert LinearSystem(1, (LinearRow(((0, 2),), "le", 1),), (F(0),), (F(1),)).rows[0].rhs == 1
 
 
 def test_narrowed_system_checks_newly_fixed_values():
-    row = LinearRow(sparse((1, 1)), "le", F(1))
+    row = LinearRow(sparse((1, 1)), "le", 1)
     sys_ = LinearSystem(2, (row,), (F(0),) * 2, (F(1),) * 2, fixed={0: F(1)})
     narrowed = sys_._narrowed((), {0: F(1), 1: F(0)})
     assert narrowed == LinearSystem(2, (), (F(0),) * 2, (F(1),) * 2, fixed={0: F(1), 1: F(0)})
@@ -97,8 +102,8 @@ def test_infeasible_warm_start_rejected():
 def test_no_upper_bound_variables():
     # x0 <= x1 together with x1 <= 1 bounds the system without box uppers
     rows = (
-        LinearRow(sparse((1, -1)), "le", F(0)),
-        LinearRow(sparse((0, 1)), "le", F(1)),
+        LinearRow(sparse((1, -1)), "le", 0),
+        LinearRow(sparse((0, 1)), "le", 1),
     )
     sys_ = LinearSystem(2, rows, (F(0), F(0)), (None, None))
     pt = extreme_point(sys_, (F(1), F(0)), (F(0), F(0)))
@@ -204,9 +209,9 @@ def test_random_systems_against_vertex_enumeration():
         n = rng.randint(1, 4)
         rows = []
         for _ in range(rng.randint(0, 3)):
-            coeffs = tuple(F(rng.randint(0, 2)) for _ in range(n))
+            coeffs = tuple(rng.randint(0, 2) for _ in range(n))
             if any(c != 0 for c in coeffs):
-                rows.append(LinearRow(sparse(coeffs), "le", F(rng.randint(1, 3))))
+                rows.append(LinearRow(sparse(coeffs), "le", rng.randint(1, 3)))
         sys_ = LinearSystem(n, tuple(rows), (F(0),) * n, (F(1),) * n)
         warm = (F(0),) * n
         obj = tuple(F(rng.randint(-2, 3)) for _ in range(n))
@@ -230,9 +235,9 @@ def test_warm_start_value_never_decreases():
                 continue
             lhs = sum(c * x for c, x in zip(coeffs, x0))
             if rng.random() < 0.5:
-                rows.append(LinearRow(sparse(coeffs), "eq", lhs))
+                rows.append(rational_row(coeffs, "eq", lhs))
             else:
-                rows.append(LinearRow(sparse(coeffs), "le", lhs + F(rng.randint(0, 2))))
+                rows.append(rational_row(coeffs, "le", lhs + F(rng.randint(0, 2))))
         fixed = {}
         if rng.random() < 0.4:
             j = rng.randrange(n)
@@ -303,9 +308,9 @@ def _random_rational_system(rng):
             continue
         lhs = sum((c * v for c, v in zip(coeffs, x)), F(0))
         if rng.random() < 0.3:
-            rows.append(LinearRow(sparse(coeffs), "eq", lhs))
+            rows.append(rational_row(coeffs, "eq", lhs))
         else:
-            rows.append(LinearRow(sparse(coeffs), "le", lhs + rng.choice([0, 0, _rational(rng, 0, 2)])))
+            rows.append(rational_row(coeffs, "le", lhs + rng.choice([0, 0, _rational(rng, 0, 2)])))
     return LinearSystem(n, tuple(rows), tuple(lower), tuple(upper), fixed=fixed), x
 
 
@@ -362,7 +367,7 @@ def test_rational_systems_against_vertex_enumeration():
         for _ in range(rng.randint(1, 3)):
             coeffs = tuple(F(rng.randint(0, 4), rng.randint(2, 6)) for _ in range(n))
             if any(c != 0 for c in coeffs):
-                rows.append(LinearRow(sparse(coeffs), "le", F(rng.randint(1, 9), rng.randint(2, 6))))
+                rows.append(rational_row(coeffs, "le", F(rng.randint(1, 9), rng.randint(2, 6))))
         sys_ = LinearSystem(n, tuple(rows), (F(0),) * n, (F(1),) * n)
         obj = tuple(F(rng.randint(-2, 3), rng.randint(1, 4)) for _ in range(n))
         pt = extreme_point(sys_, obj, (F(0),) * n)

@@ -5,13 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import deferred_acceptance, exact_rank, triangle_instance
+from conftest import deferred_acceptance, exact_rank, solve_square, triangle_instance
 from nearstable import fileformat as ff
 from nearstable.cacq import solve_cacq
 from nearstable.errors import InputError, InternalError, ResourceLimitError
 from nearstable.model import HypergraphInstance
 from nearstable.oracle import GeneratorConfig, generate
-from nearstable.polytope import solve_square
 from nearstable.scarf import (
     DominatingPoint,
     DominationReport,
@@ -431,16 +430,15 @@ class DenseTableau:
 
     def __init__(self, problem: ScarfProblem):
         n, m = problem.num_rows, problem.num_cols
-        rows, bounds = problem.scaled
         self.n, self.m = n, m
         self.mat = []
         for i in range(n):
             row = [0] * (n + m)
-            for j, v in rows[i]:
+            for j, v in problem.rows[i]:
                 row[n + j] = v
             row[i] = 1
             self.mat.append(row)
-        self.rhs = list(bounds)
+        self.rhs = list(problem.bounds)
         self.den = 1
         self.basis = list(range(n))
         self.ties = self.rescales = 0
@@ -617,20 +615,41 @@ def test_problem_validation():
         make_problem([[-1]], [1], [(0,)])  # negative entry
     with pytest.raises(InputError):
         make_problem([[1, 1], [1]], [1, 1], [(0, 1), (0,)])  # ragged dense matrix
-    one = F(1)
     bad_sparse = [
-        (((0, one), (2, one)), (0, 2)),  # column outside num_cols
-        (((1, one), (0, one)), (0, 1)),  # unsorted columns
-        (((0, one), (0, one)), (0,)),  # repeated column
-        (((0, one), (1, F(0))), (0, 1)),  # stored zero would mark column 1 covered
-        (((0, one), (1, F(-1))), (0, 1)),  # negative coefficient
-        (((0, one), (1, one)), (1,)),  # order misses a column of the row
-        (((0, one),), (0, 1)),  # order ranks a column outside the row
+        (((0, 1), (2, 1)), (0, 2)),  # column outside num_cols
+        (((1, 1), (0, 1)), (0, 1)),  # unsorted columns
+        (((0, 1), (0, 1)), (0,)),  # repeated column
+        (((0, 1), (1, 0)), (0, 1)),  # stored zero would mark column 1 covered
+        (((0, 1), (1, -1)), (0, 1)),  # negative coefficient
+        (((0, 1), (1, 1)), (1,)),  # order misses a column of the row
+        (((0, 1),), (0, 1)),  # order ranks a column outside the row
     ]
     for row, order in bad_sparse:
         with pytest.raises(InputError):
-            ScarfProblem((row, ((1, one),)), (one, one), (order, (1,)), num_cols=2)
-    assert ScarfProblem((((0, one), (1, one)),), (one,), ((1, 0),), num_cols=2).num_rows == 1
+            ScarfProblem((row, ((1, 1),)), (1, 1), (order, (1,)), num_cols=2)
+    assert ScarfProblem((((0, 1), (1, 1)),), (1,), ((1, 0),), num_cols=2).num_rows == 1
+
+
+def test_problem_holds_positive_ints_only():
+    """A Fraction, a bool or a zero is rejected both as a stored entry and as a bound, even when it equals 1 or 2."""
+    for bad in (F(1), F(2), F(1, 2), True, 0):
+        with pytest.raises(InputError):
+            ScarfProblem((((0, bad),),), (1,), ((0,),), num_cols=1)
+        with pytest.raises(InputError):
+            ScarfProblem((((0, 1),),), (bad,), ((0,),), num_cols=1)
+    assert ScarfProblem((((0, 2),),), (3,), ((0,),), num_cols=1).bounds == (3,)
+
+
+def test_make_problem_scales_rational_data_by_one_lcm():
+    """Entries and bounds are multiplied by the lcm of every denominator in the matrix and the bounds."""
+    problem = make_problem([[F(1, 2), 0, F(2, 3)], [0, 1, F(3, 4)]], [1, F(5, 6)], [(2, 0), (1, 2)])
+    # lcm(2, 3, 4, 6) = 12
+    assert problem.rows == (((0, 6), (2, 8)), ((1, 12), (2, 9)))
+    assert problem.bounds == (12, 10)
+    assert all(type(v) is int for row in problem.rows for _, v in row)
+    assert all(type(b) is int for b in problem.bounds)
+    # Integer data is left as it is.
+    assert make_problem([[2, 0], [1, 3]], [4, 5], [(0,), (0, 1)]).rows == (((0, 2),), ((0, 1), (1, 3)))
 
 
 def test_dense_and_edge_built_problems_agree():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import random
@@ -5,14 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import single_arc_flow_instance
+from conftest import aggregate_size, single_arc_flow_instance
+from nearstable import smf
 from nearstable.errors import InternalError, PreconditionError, UnstableInputError
 from nearstable.fileformat import canonical_dumps
 from nearstable.model import Arc, Commodity, FlowInstance, validate
 from nearstable.oracle import GeneratorConfig, generate
 from nearstable.orders import WeakOrder
 from nearstable.smf import (
-    aggregate_size,
     compute_flow_capacities,
     find_fractional_structure,
     flow_size,
@@ -234,6 +235,20 @@ def test_round_path_respects_size_rule():
     # |g| <= |f| at the first step routes to increase
     assert g == {("x0", 1): 1, ("x1", 1): 1}
     assert abs(flow_size(inst, g, 1) - flow_size(inst, flow, 1)) < 1
+
+
+def test_round_rejects_an_augmentation_that_breaks_conservation(monkeypatch):
+    """A structure missing its last arc leaves the middle vertex unbalanced after the step."""
+    inst = chain_instance("s", "a", "t")
+    flow = {("x0", 1): F(1, 2), ("x1", 1): F(1, 2)}
+
+    def truncated(inst, values, j):
+        structure = find_fractional_structure(inst, values, j)
+        return dataclasses.replace(structure, arcs=structure.arcs[:-1])
+
+    monkeypatch.setattr(smf, "find_fractional_structure", truncated)
+    with pytest.raises(InternalError, match="augmentation broke flow conservation"):
+        round_flow(inst, flow)
 
 
 def test_round_closed_walks_through_source_keep_size_drift_small():

@@ -107,13 +107,13 @@ def pinned_students(inst: CacqInstance, x_star: Mapping) -> tuple[str, ...]:
     return tuple(s for s in inst.students if loads[s] == 1)
 
 
-def _cacq_rule(sets, rows, ell, z, fractional, active):
+def _cacq_rule(sets, rows, ell, point, fractional, active):
     """First non-tight set row with fractional mass <= 2L - 1, else first tight one with mass <= 2L.
 
-    Tightness is taken at `z`, in integers.  Rows i < len(sets) are the
-    set rows; the student rows after them are never deleted.
+    Tightness is taken at the integer point (nums, den).  Rows i < len(sets)
+    are the set rows; the student rows after them are never deleted.
     """
-    nums, den = scale(z)
+    nums, den = point
     for tight, allowance in ((False, 2 * ell - 1), (True, 2 * ell)):
         for i in active:
             if i < len(sets):

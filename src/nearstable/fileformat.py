@@ -29,6 +29,7 @@ from .model import (
     HypergraphInstance,
 )
 from .orders import WeakOrder
+from .polytope import _is_int
 
 FORMAT_VERSION = 1
 
@@ -82,7 +83,7 @@ def _string_list(value, what: str) -> list[str]:
 
 
 def _nonneg_int(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+    if not _is_int(value) or value < 0:
         raise InputError(f"{what} must be a nonnegative integer, got {value!r}")
     return value
 
@@ -115,7 +116,7 @@ def _capacity_map(value, what: str) -> dict[str, int]:
 
 
 def _commodity_index(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+    if not _is_int(value) or value < 1:
         raise InputError(f"commodity index must be a positive integer, got {value!r}")
     return value
 

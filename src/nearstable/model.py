@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from .errors import InputError
 from .orders import WeakOrder
+from .polytope import _is_int
 
 Id = str
 
@@ -227,7 +228,7 @@ def _check_capacity_map(values, universe, entity_kind, out):
     for k, q in values.items():
         if k not in universe:
             out.append(Violation(str(k), "capacity-dangling", f"unknown {entity_kind}"))
-        elif not isinstance(q, int) or isinstance(q, bool) or q < 0:
+        elif not _is_int(q) or q < 0:
             out.append(Violation(str(k), "capacity-not-integer", f"capacity {q!r} must be a nonnegative integer"))
 
 
@@ -340,7 +341,7 @@ def validate_cacq(inst: CacqInstance) -> list[Violation]:
             out.append(Violation(cs.id, "empty-set", "college set has no members"))
         if len(set(cs.colleges)) != len(cs.colleges):
             out.append(Violation(cs.id, "repeated-college", "set lists a college twice"))
-        if not isinstance(cs.quota, int) or isinstance(cs.quota, bool) or cs.quota < 0:
+        if not _is_int(cs.quota) or cs.quota < 0:
             out.append(Violation(cs.id, "capacity-not-integer", f"quota {cs.quota!r} must be a nonnegative integer"))
         members = [c for c in cs.colleges if c in cset]
         for c in cs.colleges:
@@ -395,7 +396,7 @@ def validate_smf(inst: FlowInstance) -> list[Violation]:
     for key, q in inst.commodity_capacity.items():
         if key not in want_keys:
             out.append(Violation(str(key), "capacity-dangling", "unknown (arc, commodity) pair"))
-        elif not isinstance(q, int) or isinstance(q, bool) or q < 0:
+        elif not _is_int(q) or q < 0:
             out.append(Violation(str(key), "capacity-not-integer", f"capacity {q!r} must be a nonnegative integer"))
     outgoing, incoming = inst.outgoing(), inst.incoming()
     for v in inst.vertices:

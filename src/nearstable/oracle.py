@@ -318,13 +318,14 @@ def _stabilize_flow(rng: SplitMix64, inst: FlowInstance):
     arc_map = inst.arc_by_id()
     outgoing = inst.outgoing()
     flow = {(a.id, j): ZERO for a in inst.arcs for j in range(1, k + 1)}
+    total = {a.id: ZERO for a in inst.arcs}  # each arc's flow summed over the commodities
     rotation = 0
     for _ in range(64 * len(inst.arcs)):
         walk = None
         commodity = None
         for offset in range(k):
             j = 1 + (rotation + offset) % k
-            walk = _spare_capacity_walk(inst, flow, j, arc_map, outgoing, rng)
+            walk = _spare_capacity_walk(inst, flow, total, j, arc_map, outgoing, rng)
             if walk is not None:
                 commodity = j
                 break
@@ -333,9 +334,8 @@ def _stabilize_flow(rng: SplitMix64, inst: FlowInstance):
             break
         room = min(
             min(
-                Fraction(inst.commodity_capacity[(aid, commodity)]) - flow[(aid, commodity)],
-                Fraction(inst.capacity[aid])
-                - sum((flow[(aid, i)] for i in range(1, k + 1)), ZERO),
+                inst.commodity_capacity[(aid, commodity)] - flow[(aid, commodity)],
+                inst.capacity[aid] - total[aid],
             )
             for aid in walk
         )
@@ -347,10 +347,11 @@ def _stabilize_flow(rng: SplitMix64, inst: FlowInstance):
         step = quantum * rng.randint(1, min(units, denominator))
         for aid in walk:
             flow[(aid, commodity)] += step
+            total[aid] += step
     return flow
 
 
-def _spare_capacity_walk(inst, flow, j, arc_map, outgoing, rng: SplitMix64):
+def _spare_capacity_walk(inst, flow, total, j, arc_map, outgoing, rng: SplitMix64):
     """A random source-sink path over arcs with spare total capacity.
 
     Randomized depth-first search, so successive augmentations traverse
@@ -358,15 +359,10 @@ def _spare_capacity_walk(inst, flow, j, arc_map, outgoing, rng: SplitMix64):
     bottlenecks saturated at fractional splits, which is where fractional
     stable flows come from.
     """
-    k = inst.num_commodities
     com = inst.commodities[j - 1]
 
     def open_arc(aid: str) -> bool:
-        total = sum((flow[(aid, i)] for i in range(1, k + 1)), ZERO)
-        return (
-            flow[(aid, j)] < inst.commodity_capacity[(aid, j)]
-            and total < inst.capacity[aid]
-        )
+        return flow[(aid, j)] < inst.commodity_capacity[(aid, j)] and total[aid] < inst.capacity[aid]
 
     usable = {a.id for a in inst.arcs if open_arc(a.id)}
     path: list[str] = []

@@ -24,17 +24,22 @@ simplex are each a reading of its output, so they agree with one another
 and with Fraction elimination in the same order.
 
 Systems are given as equality/inequality rows plus per-variable bounds and a
-set of variables fixed to constants.  `extreme_point` walks from a feasible
-warm-start point to a vertex, optionally maximizing a linear objective with
-a Bland-rule active-set simplex.  After the fixed variables are substituted
-out, the constraints form one list in Bland order (equalities, `<=` rows,
-lower bounds as `-x_i <= -lo_i`, finite upper bounds), and a constraint's
-index is its tie-break key.  Results are exact `fractions.Fraction` values
-and deterministic; a returned point is a vertex, since the constraints
-tight at it have rank equal to the number of unfixed variables.
+set of variables fixed to constants.  After the fixed variables are
+substituted out, the constraints form one integer list in Bland order
+(equalities, `<=` rows, lower bounds as `-x_i <= -lo_i`, finite upper
+bounds), and a constraint's index is its tie-break key.  One integer core,
+`_vertex`, walks from a feasible point to a vertex (`_purify`) and then,
+given a linear objective, maximizes it with a Bland-rule active-set simplex
+started from the active set that purification's last elimination kept; a
+vertex is where the constraints tight at it have rank equal to the number
+of variables.  `extreme_point` is the rational entry: it checks a
+`LinearSystem` and a `Fraction` warm start, reduces them, runs the core and
+returns exact `fractions.Fraction` values, deterministically.
 `iterative_rounding` is the rounding loop both capacity-revision pipelines
 share: delete one row by a pipeline's rule, fix the integral coordinates,
-re-solve with `extreme_point`, repeat until the vector is integral.
+and run the core on the integer system over the fractional coordinates,
+repeating until the vector is integral.  It works in integers throughout; a
+`Fraction` is made only for each step's objective record.
 """
 
 from __future__ import annotations
@@ -57,7 +62,11 @@ def _is_integral(value: Fraction) -> bool:
 
 
 def _is_int(value) -> bool:
-    """True for an int and False for anything else, bool included."""
+    """True for an int and False for anything else, bool included.
+
+    The one such test of the package: LP rows, Scarf problems, capacities,
+    quotas and integer file fields all go through it.
+    """
     return isinstance(value, int) and not isinstance(value, bool)
 
 
@@ -204,24 +213,10 @@ class LinearSystem:
                 raise PreconditionError(f"unknown relation {row.relation!r}")
             if not _is_int(row.rhs) or not all(_is_int(c) for _, c in row.coeffs):
                 raise PreconditionError("row coefficients and rhs must be ints")
-        self._check_fixed(self.fixed)
-
-    def _check_fixed(self, fixed: dict):
-        for j, value in fixed.items():
+        for j, value in self.fixed.items():
             lo, up = self.lower[j], self.upper[j]
             if value < lo or (up is not None and value > up):
                 raise PreconditionError(f"fixed value for variable {j} violates its bounds")
-
-    def _narrowed(self, rows: tuple[LinearRow, ...], fixed: dict) -> LinearSystem:
-        """This system over a subset of its rows, with `fixed` extending its fixed values.
-
-        The rows were checked when this system was made, so only the newly
-        fixed values are checked here.
-        """
-        self._check_fixed({j: v for j, v in fixed.items() if j not in self.fixed})
-        system = object.__new__(LinearSystem)
-        system.__dict__.update(num_vars=self.num_vars, rows=rows, lower=self.lower, upper=self.upper, fixed=fixed)
-        return system
 
 
 def is_feasible(sys: LinearSystem, x: Sequence[Fraction]) -> bool:
@@ -243,23 +238,70 @@ def is_feasible(sys: LinearSystem, x: Sequence[Fraction]) -> bool:
     return True
 
 
-class _Reduced:
-    """System restricted to the unfixed variables, as integer `<=`/`==` constraints.
+class _Constraints:
+    """Integer `<=`/`==` constraints over `n` variables, in Bland order.
 
-    `constraints` holds (row, rhs) pairs over the unfixed variables in Bland
-    order: the `num_eq` equalities, then the `<=` rows, then each lower
-    bound as `-x_i <= -lo_i`, then each finite upper bound.  Each is a
-    positive integer multiple of its rational constraint: a row is scaled
-    by its own lcm and by that of the fixed values, whose shift moves into
-    the rhs.  The index of a constraint is its tie-break key; only the
-    equalities are never dropped from an active set.
+    `constraints` holds (row, rhs) pairs: the `num_eq` equalities, then the
+    `<=` rows, then each lower bound as `-x_i <= -lo_i`, then each finite
+    upper bound.  The index of a constraint is its tie-break key; only the
+    equalities are never dropped from an active set.  `num_rows` counts the
+    system rows they come from and sizes the simplex budget.
+    """
+
+    def __init__(self, n: int, num_eq: int, constraints: list, num_rows: int):
+        self.n = n
+        self.num_eq = num_eq
+        self.constraints = constraints
+        self.num_rows = num_rows
+
+    def dense(self, k: int) -> list[int]:
+        """Constraint k's row as a dense vector for `_echelon`."""
+        vec = [0] * self.n
+        for i, c in self.constraints[k][0]:
+            vec[i] = c
+        return vec
+
+    def slacks(self, point: Point) -> list[int]:
+        """Each constraint's rhs less its row at the point, times den."""
+        nums, den = point
+        return [rhs * den - sum([c * nums[j] for j, c in row]) for row, rhs in self.constraints]
+
+    def tight(self, slacks: list[int]) -> list[int]:
+        """Every equality, then the inequalities with no slack, in Bland order."""
+        num_eq = self.num_eq
+        return [k for k, slack in enumerate(slacks) if k < num_eq or not slack]
+
+    def holds(self, slacks: list[int]) -> bool:
+        return not any(slacks[: self.num_eq]) and min(slacks, default=0) >= 0
+
+    def parallel_to_equality(self, vector: list[int]) -> bool:
+        """True if some equality's row is a multiple of the nonzero `vector`.
+
+        Rows are compared in their sparse form, so a row with the same
+        support and proportional entries is found without densifying.
+        """
+        support = [(i, v) for i, v in enumerate(vector) if v]
+        v0 = support[0][1]
+        for row, _ in self.constraints[: self.num_eq]:
+            if len(row) == len(support):
+                r0 = row[0][1]
+                if all(i == j and r * v0 == v * r0 for (i, r), (j, v) in zip(row, support)):
+                    return True
+        return False
+
+
+class _Reduced(_Constraints):
+    """A `LinearSystem` restricted to its unfixed variables.
+
+    Each constraint is a positive integer multiple of its rational one: a
+    row is scaled by the lcm of the fixed values, whose shift moves into
+    the rhs, and a bound by its own denominator.
     """
 
     def __init__(self, sys: LinearSystem):
         self.sys = sys
         self.free = [j for j in range(sys.num_vars) if j not in sys.fixed]
         pos = {j: i for i, j in enumerate(self.free)}
-        self.n = len(self.free)
         values, den = scale(list(sys.fixed.values()))
         fixed = dict(zip(sys.fixed, values))
         eq, le = [], []
@@ -267,11 +309,10 @@ class _Reduced:
             reduced = tuple((pos[j], den * c) for j, c in row.coeffs if j in pos)
             shift = sum(c * fixed[j] for j, c in row.coeffs if j not in pos)
             (eq if row.relation == "eq" else le).append((reduced, den * row.rhs - shift))
-        self.num_eq = len(eq)
         bounds = [(sys.lower[j], sys.upper[j]) for j in self.free]
         lower = [(((i, -lo.denominator),), -lo.numerator) for i, (lo, _) in enumerate(bounds)]
         upper = [(((i, up.denominator),), up.numerator) for i, (_, up) in enumerate(bounds) if up is not None]
-        self.constraints = eq + le + lower + upper
+        super().__init__(len(self.free), len(eq), eq + le + lower + upper, len(sys.rows))
 
     def full_point(self, point: Point) -> tuple[Fraction, ...]:
         nums, den = point
@@ -286,24 +327,8 @@ class _Reduced:
         """A point or objective restricted to the unfixed variables, scaled."""
         return scale([vector[j] for j in self.free])
 
-    def dense(self, k: int) -> list[int]:
-        """Constraint k's row as a dense vector for `_echelon`."""
-        vec = [0] * self.n
-        for i, c in self.constraints[k][0]:
-            vec[i] = c
-        return vec
 
-    def tight(self, point: Point) -> list[int]:
-        """Every equality, then the inequalities tight at the point, in Bland order."""
-        nums, den = point
-        return [
-            k
-            for k, (row, rhs) in enumerate(self.constraints)
-            if k < self.num_eq or int_dot(row, nums) == rhs * den
-        ]
-
-
-def _max_step(red: _Reduced, point: Point, d: Sequence[int], skip) -> tuple[Fraction | None, int | None]:
+def _max_step(red: _Constraints, point: Point, d: Sequence[int], skip) -> tuple[Fraction | None, int | None]:
     """Largest feasible step along d and the limiting constraint.
 
     Returns (t, constraint index) with t = None when the ray is unbounded.
@@ -342,12 +367,27 @@ def _advance(point: Point, t: Fraction, d: Sequence[int]) -> Point:
     return nums, den
 
 
-def _purify(red: _Reduced, point: Point, gain: list[int]) -> Point:
-    """Drive the point to a vertex without ever decreasing the objective `gain`."""
+def _purify(red: _Constraints, point: Point, gain: list[int]) -> tuple[Point, list[int]]:
+    """Drive the point to a vertex without ever decreasing the objective `gain`.
+
+    The start point is checked against every constraint first (the
+    pre-check of each caller), from the slacks the first tight set is read
+    from.  Returns the vertex and an active set at it: the tight
+    constraints whose rows the last elimination kept.  That elimination
+    left no null vector, so they are `n` independent constraints, every
+    independent equality among them; dependent equalities are implied by
+    the kept rows.  This is the "is a vertex" guarantee the simplex starts
+    from.
+    """
+    slacks = red.slacks(point)
+    if not red.holds(slacks):
+        raise PreconditionError("warm start point is not feasible for the system")
     while True:
-        w = _null_vector(_echelon(red.dense(k) for k in red.tight(point)), red.n)
+        tight = red.tight(slacks)
+        kept = _echelon(red.dense(k) for k in tight)
+        w = _null_vector(kept, red.n)
         if w is None:
-            return point
+            return point, [tight[index] for index, _, _ in kept]
         d = w[0]
         if sum(map(mul, gain, d)) < 0:
             d = [-c for c in d]
@@ -360,29 +400,16 @@ def _purify(red: _Reduced, point: Point, gain: list[int]) -> Point:
         if t == 0:
             raise InternalError("zero purification step from a non-tight direction")
         point = _advance(point, t, d)
+        slacks = red.slacks(point)
 
 
-def _initial_active_set(red: _Reduced, point: Point) -> list[int]:
-    """A maximal independent subset of the constraints tight at a vertex.
-
-    Equality rows are added first so they are always represented; dependent
-    equality rows are implied by the chosen ones and stay satisfied.
-    """
-    tight = red.tight(point)
-    chosen = [tight[index] for index, _, _ in _echelon(red.dense(k) for k in tight)]
-    if len(chosen) != red.n:
-        raise InternalError("active-set start point is not a vertex")
-    return chosen
-
-
-def _simplex(red: _Reduced, point: Point, objective: list[int]) -> Point:
-    """Maximize objective over the reduced system starting at a vertex.
+def _simplex(red: _Constraints, point: Point, objective: list[int], active: list[int]) -> Point:
+    """Maximize objective over the constraints from a vertex and an active set at it.
 
     The multipliers and the direction are positive multiples of the
     rational ones, which is all their signs and the step test need.
     """
-    active = _initial_active_set(red, point)
-    budget = _SIMPLEX_BUDGET_FACTOR * (red.n + len(red.sys.rows) + 1)
+    budget = _SIMPLEX_BUDGET_FACTOR * (red.n + red.num_rows + 1)
     for _ in range(budget):
         matrix = [red.dense(k) for k in active]
         lam, _ = _solution(([*col, -c] for col, c in zip(zip(*matrix), objective)), red.n)
@@ -399,6 +426,19 @@ def _simplex(red: _Reduced, point: Point, objective: list[int]) -> Point:
         point = _advance(point, t, d)
         active[leaving] = entering
     raise InternalError("simplex iteration budget exceeded")
+
+
+def _vertex(red: _Constraints, point: Point, objective: list[int]) -> Point:
+    """A vertex of the constraints reached from a feasible point, maximizing `objective`.
+
+    An objective that is a multiple of an equality's row is constant on the
+    constraints, so the purified vertex is optimal: its multipliers vanish
+    off that equality, and the simplex would stop there without a pivot.
+    """
+    point, active = _purify(red, point, objective)
+    if any(objective) and not red.parallel_to_equality(objective):
+        point = _simplex(red, point, objective, active)
+    return point
 
 
 def extreme_point(
@@ -419,73 +459,122 @@ def extreme_point(
     if red.n == 0:
         return red.full_point(point)
     obj = red.reduce(objective)[0] if objective is not None else [0] * red.n
-    point = _purify(red, point, obj)
-    if any(obj):
-        point = _simplex(red, point, obj)
-    result = red.full_point(point)
+    result = red.full_point(_vertex(red, point, obj))
     if not is_feasible(sys, result):
         raise InternalError("pivoting left the feasible region")
     return result
 
 
+def _step_constraints(rows, residual: dict, active, free, values, upper) -> _Constraints:
+    """The imposed rows and the bounds 0 <= x <= upper over the coordinates `free`.
+
+    `free` is in increasing order and `values` holds the integral value of
+    every other coordinate.  `residual[i]` is row i restricted to the
+    coordinates free at its last update, with its rhs shifted by the fixed
+    part; each imposed row is brought up to date here.  A row with no
+    column in `free` is checked as a constant and left out, since it never
+    enters an active set.
+    """
+    pos = {j: i for i, j in enumerate(free)}
+    eq, le = [], []
+    for index in active:
+        coeffs, rhs = residual[index]
+        kept = [(j, c) for j, c in coeffs if j in pos]
+        if len(kept) != len(coeffs):
+            rhs -= sum([c * values[j] for j, c in coeffs if j not in pos])
+            residual[index] = kept, rhs
+        relation = rows[index].relation
+        if kept:
+            (eq if relation == "eq" else le).append((tuple([(pos[j], c) for j, c in kept]), rhs))
+        elif rhs < 0 or (rhs and relation == "eq"):
+            raise PreconditionError("warm start point is not feasible for the system")
+    lower = [(((i, -1),), 0) for i in range(len(free))]
+    bound = [] if upper is None else [(((i, upper.denominator),), upper.numerator) for i in range(len(free))]
+    return _Constraints(len(free), len(eq), eq + le + lower + bound, len(active))
+
+
 def iterative_rounding(
     start: Sequence[Fraction],
     rows: Sequence[LinearRow],
-    rule: Callable[[list[Fraction], set[int], list[int]], tuple | None],
+    rule: Callable[[Point, set[int], list[int]], tuple | None],
     upper: Fraction | None,
     objective: Sequence[Fraction] | None = None,
     trace: Callable[[str], None] | None = None,
 ) -> tuple[list[int], list[dict]]:
     """Round a fractional vertex by deleting one row per step (Lau, Ravi & Singh 2011).
 
-    `rows` hold with 0 <= z <= upper (unbounded above when None).  Each step
-    asks `rule(z, fractional, active)` (the fractional coordinates of `z`,
-    the indices of the rows still imposed, in order) for (row index,
-    deleted id, kind, trace label), or None when no row may go.  The row
-    is dropped, the integral coordinates are fixed, and `extreme_point`
-    re-solves from `z`, maximizing `objective` if given; it must never
-    decrease.  Returns the integral vector and one record per step.  The
-    rows are checked once, on the first step; a step checks only the
-    values it newly fixes.
+    `rows` hold with 0 <= z <= upper (unbounded above when None).  The
+    vector is one integer `Point` (nums, den) throughout; coordinate j is
+    fractional iff `nums[j] % den`, and an integral coordinate is fixed for
+    good.  Each step asks `rule(point, fractional, active)` (the set of
+    fractional coordinates, the indices of the rows still imposed, in
+    order) for (row index, deleted id, kind, trace label), or None when no
+    row may go.  The row is dropped and the step solves the integer LP over
+    the fractional coordinates only (`_step_constraints`): from the current
+    point to a vertex, maximizing `objective` if given, which must never
+    decrease.  Its constraints are those `extreme_point` would reduce the
+    full system to, in the same order, less the rows with no fractional
+    column, so the pivot path and every vertex are the same.  The rows are
+    checked once, on the first step; each value is checked against its
+    bounds when it is fixed; the step system holds before and after each
+    step; the integral result satisfies every row still imposed and every
+    bound.  Returns the integral vector and one record per step.
     """
     n = len(start)
-    z = list(start)
+    nums, den = scale(start)
+    free = [j for j in range(n) if nums[j] % den]
+    newly = [j for j in range(n) if not nums[j] % den]  # integral, not yet fixed
+    values = [0] * n  # the value of each fixed coordinate
     active = list(range(len(rows)))
-    system = None
+    residual = None
     steps = []
-    gain, gain_den = scale(objective) if objective is not None else ([], 1)
-    value = None  # the objective at z, once a step has needed it
+    gain, gain_den = scale(objective) if objective is not None else ([0] * n, 1)
+    value = sum(map(mul, gain, nums)), den  # the objective at the point, over gain_den
 
-    def objective_at(x):
-        nums, den = scale(x)
-        return Fraction(sum(map(mul, gain, nums)), gain_den * den)
-
-    while True:
-        fractional = {j for j, v in enumerate(z) if not _is_integral(v)}
-        if not fractional:
-            return [int(v) for v in z], steps
+    while free:
         if len(steps) == len(rows):
             raise InternalError("rounding exceeded the deletion bound")
-        choice = rule(z, fractional, active)
+        fractional = set(free)
+        choice = rule((nums, den), fractional, active)
         if choice is None:
             raise InternalError("no deletable row although the vector is fractional")
         index, deleted, kind, label = choice
         active.remove(index)
-        if system is None:
-            system = LinearSystem(num_vars=n, rows=tuple(rows), lower=(ZERO,) * n, upper=(upper,) * n)
-        system = system._narrowed(
-            tuple(rows[i] for i in active), {j: z[j] for j in range(n) if j not in fractional}
-        )
-        previous, z = z, list(extreme_point(system, objective, z))
+        if residual is None:
+            LinearSystem(num_vars=n, rows=tuple(rows), lower=(ZERO,) * n, upper=(upper,) * n)  # checks the rows
+            residual = {i: (row.coeffs, row.rhs) for i, row in enumerate(rows)}
+        for j in newly:
+            values[j] = nums[j] // den
+            if values[j] < 0 or (upper is not None and values[j] > upper):
+                raise PreconditionError(f"fixed value for variable {j} violates its bounds")
+        red = _step_constraints(rows, residual, active, free, values, upper)
+        point = _vertex(red, ([nums[j] for j in free], den), [gain[j] for j in free])
+        if not red.holds(red.slacks(point)):
+            raise InternalError("pivoting left the feasible region")
+        moved, den = point
+        nums = [v * den for v in values]
+        for j, v in zip(free, moved):
+            nums[j] = v
+        newly = [j for j in free if not nums[j] % den]
+        free = [j for j in free if nums[j] % den]
         step = {"deleted": deleted, "kind": kind, "fractional": len(fractional)}
         line = f"round step {len(steps) + 1}: delete {label}, fractional={len(fractional)}"
         if objective is not None:
-            before = objective_at(previous) if value is None else value
-            value = objective_at(z)
-            if value < before:
+            before, value = value, (sum(map(mul, gain, nums)), den)
+            if value[0] * before[1] < before[0] * value[1]:
                 raise InternalError("rounding objective decreased")
-            step["objective"] = str(value)
-            line += f", objective={value}"
+            shown = Fraction(value[0], gain_den * den)
+            step["objective"] = str(shown)
+            line += f", objective={shown}"
         steps.append(step)
         if trace is not None:
             trace(line)
+    result = [v // den for v in nums]
+    if residual is not None:
+        for i in active:
+            lhs, rhs = int_dot(rows[i].coeffs, result), rows[i].rhs
+            if lhs > rhs or (rows[i].relation == "eq" and lhs != rhs):
+                raise InternalError("rounded vector violates an imposed row")
+        if min(result) < 0 or (upper is not None and max(result) > upper):
+            raise InternalError("rounded vector violates its bounds")
+    return result, steps

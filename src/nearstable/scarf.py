@@ -266,11 +266,15 @@ class _Tableau:
         self.den = 1
         self.basis = list(range(n))
 
-    def ratio_row(self, col: int) -> int:
-        """Lexicographic minimum ratio row for an entering column."""
+    def ratio_row(self, col: int) -> tuple[int, list[tuple[int, int]]]:
+        """Lexicographic minimum ratio row for an entering column, and the column's nonzeros.
+
+        The nonzeros are (row, entry) pairs in row order, for `pivot`.
+        """
         n, rows, rhs = self.n, self.rows, self.rhs
+        holders = [(i, row[col]) for i, row in enumerate(rows) if col in row]
         best = None
-        for i, piv in [(i, row[col]) for i, row in enumerate(rows) if col in row]:
+        for i, piv in holders:
             if piv < 0:
                 continue
             if best is None:
@@ -295,10 +299,10 @@ class _Tableau:
                 raise InternalError("lexicographic ratio test tie; basis inverse is singular")
         if best is None:
             raise InternalError("unbounded pivot column on a bounded polytope")
-        return best
+        return best, holders
 
-    def pivot(self, row: int, col: int) -> int:
-        """Pivot and return the leaving column."""
+    def pivot(self, row: int, col: int, holders: list[tuple[int, int]]) -> int:
+        """Pivot on `col`'s nonzeros `holders`, as `ratio_row` gave them, and return the leaving column."""
         rows, rhs = self.rows, self.rhs
         prow = rows[row]
         piv = prow.get(col, 0)
@@ -307,15 +311,15 @@ class _Tableau:
         den = self.den
         prhs = rhs[row]
         if piv != den:
+            held = {i for i, _ in holders}
             for i, irow in enumerate(rows):
-                if col not in irow:
+                if i not in held:
                     rows[i] = {c: v * piv // den for c, v in irow.items()}
                     rhs[i] = rhs[i] * piv // den
-        for i in [i for i, irow in enumerate(rows) if col in irow]:
+        for i, factor in holders:
             if i == row:
                 continue
             irow = rows[i]
-            factor = irow[col]
             if piv == den:
                 # Each new entry v - factor * p / den is an integer, so every
                 # term divides exactly and only the pivot row's columns change.
@@ -455,8 +459,8 @@ def solve_scarf(
     while True:
         if pivots >= pivot_budget:
             raise ResourceLimitError(f"pivot budget of {pivot_budget} exceeded")
-        row = tableau.ratio_row(entering)
-        leaving = tableau.pivot(row, entering)
+        row, holders = tableau.ratio_row(entering)
+        leaving = tableau.pivot(row, entering, holders)
         pivots += 1
         if trace is not None:
             trace(f"pivot {pivots} enter={colname(entering)} leave={colname(leaving)} kind=cardinal")

@@ -114,7 +114,7 @@ def _vertex_loads(inst: HypergraphInstance, values: Mapping) -> dict:
     return loads
 
 
-def _shm_rule(vertices, rows, ell, z, fractional, active):
+def _shm_rule(vertices, rows, ell, point, fractional, active):
     """First vertex row with fractional mass at most L, else the aggregate row.
 
     Row i < len(vertices) is vertex i; the aggregate row comes last and may

@@ -62,7 +62,7 @@ def rational_row(dense, relation: str, rhs) -> LinearRow:
 def rank_of_tight_rows(sys: LinearSystem, x) -> int:
     """Exact rank of the constraint rows (bounds included) tight at x, fixed variables substituted out."""
     red = _Reduced(sys)
-    return len(_echelon(red.dense(k) for k in red.tight(red.reduce(x))))
+    return len(_echelon(red.dense(k) for k in red.tight(red.slacks(red.reduce(x)))))
 
 
 def is_vertex(sys: LinearSystem, x) -> bool:

@@ -5,7 +5,19 @@ from math import lcm
 
 import pytest
 
-from conftest import exact_rank, is_vertex, nullspace_vector, rank_of_tight_rows, rational_row, solve_square
+from conftest import (
+    cyclic_sets_cacq,
+    exact_rank,
+    is_vertex,
+    nullspace_vector,
+    odd_cycles_instance,
+    rank_of_tight_rows,
+    rational_row,
+    solve_square,
+    uniform3_instance,
+)
+from nearstable import polytope
+from nearstable.cacq import solve_cacq
 from nearstable.errors import InternalError, PreconditionError
 from nearstable.polytope import (
     LinearRow,
@@ -15,8 +27,10 @@ from nearstable.polytope import (
     _Reduced,
     extreme_point,
     is_feasible,
+    iterative_rounding,
     sparse,
 )
+from nearstable.shm import solve_shm
 
 F = Fraction
 
@@ -85,13 +99,92 @@ def test_rows_hold_ints_only():
     assert LinearSystem(1, (LinearRow(((0, 2),), "le", 1),), (F(0),), (F(1),)).rows[0].rhs == 1
 
 
-def test_narrowed_system_checks_newly_fixed_values():
-    row = LinearRow(sparse((1, 1)), "le", 1)
-    sys_ = LinearSystem(2, (row,), (F(0),) * 2, (F(1),) * 2, fixed={0: F(1)})
-    narrowed = sys_._narrowed((), {0: F(1), 1: F(0)})
-    assert narrowed == LinearSystem(2, (), (F(0),) * 2, (F(1),) * 2, fixed={0: F(1), 1: F(0)})
-    with pytest.raises(PreconditionError):
-        sys_._narrowed((row,), {0: F(1), 1: F(2)})
+def _delete_first(point, fractional, active):
+    return active[0], "r", "row", "row r"
+
+
+def test_rounding_checks_the_values_it_fixes():
+    """An integral coordinate is checked against its bounds when rounding fixes it."""
+    rows = [LinearRow(sparse((0, 1, 1)), "le", 3)]
+    z, steps = iterative_rounding([F(1), F(1, 2), F(1, 2)], rows, _delete_first, upper=1)
+    assert z[0] == 1 and all(v in (0, 1) for v in z) and len(steps) == 1
+    with pytest.raises(PreconditionError, match="fixed value for variable 0 violates its bounds"):
+        iterative_rounding([F(2), F(1, 2), F(1, 2)], rows, _delete_first, upper=1)
+
+
+def test_rounding_rejects_an_infeasible_start():
+    """The step system is checked at the start point, rows with no fractional column as constants."""
+    keep = [LinearRow(sparse((1, 1, 1)), "le", 1), LinearRow(sparse((1, 1)), "le", 2)]
+    constant = [LinearRow(sparse((1,)), "le", 0), LinearRow(sparse((1, 1, 1)), "le", 3)]
+    for start, rows in (([F(1, 2)] * 3, keep), ([F(1), F(1, 2), F(1, 2)], constant)):
+        with pytest.raises(PreconditionError, match="warm start point is not feasible"):
+            iterative_rounding(start, rows, lambda point, fractional, active: (1, "r", "row", "row r"), upper=1)
+
+
+def test_parallel_to_equality():
+    red = polytope._Constraints(3, 1, [(((0, 2), (2, 4)), 6), (((0, 1), (1, 1)), 1)], 2)
+    assert red.parallel_to_equality([1, 0, 2]) and red.parallel_to_equality([-3, 0, -6])
+    assert not red.parallel_to_equality([1, 0, 3])
+    assert not red.parallel_to_equality([1, 1, 2])
+    assert not red.parallel_to_equality([1, 1, 0])  # parallel to an inequality only
+
+
+def test_rounding_rejects_a_step_that_leaves_the_feasible_region(monkeypatch):
+    monkeypatch.setattr(polytope, "_vertex", lambda red, point, objective: ([-1] * red.n, 1))
+    rows = [LinearRow(sparse((1, 1, 1)), "le", 2)]
+    with pytest.raises(InternalError, match="pivoting left the feasible region"):
+        iterative_rounding([F(1), F(1, 2), F(1, 2)], rows, _delete_first, upper=1)
+
+
+def test_rounding_checks_its_result_against_the_imposed_rows(monkeypatch):
+    """A step system that lost its rows is caught by the end check on the full rows."""
+    real = polytope._step_constraints
+
+    def without_rows(rows, residual, active, *rest):
+        return real(rows, residual, [], *rest)
+
+    monkeypatch.setattr(polytope, "_step_constraints", without_rows)
+    rows = [LinearRow(sparse((1, 1, 0)), "eq", 1), LinearRow(sparse((1, 1, 1)), "le", 2)]
+    with pytest.raises(InternalError, match="rounded vector violates an imposed row"):
+        iterative_rounding([F(1, 2)] * 3, rows, lambda point, fractional, active: (1, "r", "row", "row r"), upper=1)
+
+
+def test_rounding_steps_solve_over_the_fractional_coordinates(monkeypatch):
+    """Each step's system has one variable per fractional coordinate and no more."""
+    sizes = []
+    core = polytope._vertex
+
+    def recording(red, point, objective):
+        sizes.append((red.n, len(point[0]), len(objective)))
+        return core(red, point, objective)
+
+    monkeypatch.setattr(polytope, "_vertex", recording)
+    for inst, solve in ((uniform3_instance(77), solve_shm), (cyclic_sets_cacq(42), solve_cacq)):
+        sizes.clear()
+        result = solve(inst)
+        assert result.rounding_steps
+        assert sizes == [(step["fractional"],) * 3 for step in result.rounding_steps]
+
+
+def test_objective_parallel_to_an_equality_needs_no_simplex(monkeypatch):
+    """Where the step objective is a multiple of an imposed equality, the simplex stops at once."""
+    systems = []
+    core = polytope._vertex
+
+    def recording(red, point, objective):
+        systems.append((red, point, objective))
+        return core(red, point, objective)
+
+    monkeypatch.setattr(polytope, "_vertex", recording)
+    for seed in (0, 3):
+        solve_shm(odd_cycles_instance(seed))
+    solve_shm(uniform3_instance(77))
+    parallel = 0
+    for red, point, objective in systems:
+        vertex, active = polytope._purify(red, point, objective)
+        parallel += red.parallel_to_equality(objective)
+        assert core(red, point, objective) == polytope._simplex(red, vertex, objective, active)
+    assert 0 < parallel < len(systems)
 
 
 def test_infeasible_warm_start_rejected():
@@ -335,7 +428,8 @@ def test_integer_kernel_against_fraction_evaluation():
             row, rhs = reference[k]
             return rhs - sum((c * v for c, v in zip(row, at)), F(0))
 
-        assert red.tight(point) == [k for k in range(len(reference)) if k < num_eq or slack(k, xr) == 0], trial
+        tight = [k for k in range(len(reference)) if k < num_eq or slack(k, xr) == 0]
+        assert red.tight(red.slacks(point)) == tight, trial
 
         d = [rng.randint(-3, 3) for _ in free]
         skip = set(rng.sample(range(len(reference)), rng.randint(0, len(reference))))

@@ -65,8 +65,19 @@ SMF_PINNED = {
 }
 
 
-def _digest(lines, result):
-    digest = hashlib.sha256()
+# One digest over the trace lines, `rounding_steps` and certificate of each of
+# odd_cycles_instance(0..29), uniform3_instance(0..29) and cyclic_sets_cacq(40..59),
+# in that order; 40 of the 80 round, in 351 steps.
+CORPUS_DIGEST = "950688956a47842b7928efb5889c126875d70020ada09ca5115c4a04f332e9f6"
+CORPUS = (
+    (odd_cycles_instance, range(30), solve_shm),
+    (uniform3_instance, range(30), solve_shm),
+    (cyclic_sets_cacq, range(40, 60), solve_cacq),
+)
+
+
+def _digest(lines, result, digest=None):
+    digest = hashlib.sha256() if digest is None else digest
     for line in lines:
         digest.update(line.encode("utf-8") + b"\n")
     digest.update(ff.canonical_dumps(result.rounding_steps).encode("utf-8"))
@@ -88,6 +99,19 @@ def test_rounding_path_pinned(name):
     assert result.rounding_steps
     assert sum(line.startswith("round step ") for line in lines) == len(result.rounding_steps)
     assert _digest(lines, result) == PINNED[name]
+
+
+def test_rounding_corpus_pinned():
+    digest, rounded, steps = hashlib.sha256(), 0, 0
+    for build, seeds, solve in CORPUS:
+        for seed in seeds:
+            lines = []
+            result = solve(build(seed), trace=lines.append)
+            rounded += bool(result.rounding_steps)
+            steps += len(result.rounding_steps)
+            _digest(lines, result, digest)
+    assert (rounded, steps) == (40, 351)
+    assert digest.hexdigest() == CORPUS_DIGEST
 
 
 @pytest.mark.parametrize("k,seed,mode", sorted(SMF_PINNED))

@@ -405,8 +405,8 @@ def test_every_intermediate_ordinal_basis_is_genuine():
         _assert_ordinal_state(util, ordinal)
         entering = first
         for _ in range(10_000):
-            row = tableau.ratio_row(entering)
-            leaving = tableau.pivot(row, entering)
+            row, holders = tableau.ratio_row(entering)
+            leaving = tableau.pivot(row, entering, holders)
             if leaving == 0:
                 break
             added = ordinal.replace(leaving)
@@ -541,9 +541,10 @@ def _lockstep(problem: ScarfProblem):
     entering = first
     for _ in range(100_000):
         row = dense_tab.ratio_row(entering)
-        assert sparse_tab.ratio_row(entering) == row
+        sparse_row, holders = sparse_tab.ratio_row(entering)
+        assert sparse_row == row
         leaving = dense_tab.pivot(row, entering)
-        assert sparse_tab.pivot(row, entering) == leaving
+        assert sparse_tab.pivot(row, entering, holders) == leaving
         assert (sparse_tab.den, sparse_tab.rhs, sparse_tab.basis) == (dense_tab.den, dense_tab.rhs, dense_tab.basis)
         assert _dense_rows(sparse_tab) == dense_tab.mat
         if leaving == 0:

@@ -32,12 +32,14 @@ bounds), and a constraint's index is its tie-break key.  One integer core,
 given a linear objective, maximizes it with a Bland-rule active-set simplex
 started from the active set that purification's last elimination kept; a
 vertex is where the constraints tight at it have rank equal to the number
-of variables.  `extreme_point` is the rational entry: it checks a
-`LinearSystem` and a `Fraction` warm start, reduces them, runs the core and
-returns exact `fractions.Fraction` values, deterministically.
-`iterative_rounding` is the rounding loop both capacity-revision pipelines
-share: delete one row by a pipeline's rule, fix the integral coordinates,
-and run the core on the integer system over the fractional coordinates,
+of variables.  `extreme_point` is the one entry to the core.  Given a
+`LinearSystem` and a `Fraction` warm start, it checks them as rationals,
+reduces them, runs the core and returns exact `fractions.Fraction` values,
+deterministically; given an integer system and an integer point, it checks
+them in integers and returns the integer vertex.  `iterative_rounding` is
+the rounding loop both capacity-revision pipelines share: delete one row
+by a pipeline's rule, fix the integral coordinates, and call
+`extreme_point` on the integer system over the fractional coordinates,
 repeating until the vector is integral.  It works in integers throughout; a
 `Fraction` is made only for each step's objective record.
 """
@@ -278,14 +280,16 @@ class _Constraints:
         """True if some equality's row is a multiple of the nonzero `vector`.
 
         Rows are compared in their sparse form, so a row with the same
-        support and proportional entries is found without densifying.
+        support and proportional entries is found without densifying.  A
+        stored zero coefficient is not support: a row whose first entry is
+        0 is never a multiple of the vector.
         """
         support = [(i, v) for i, v in enumerate(vector) if v]
         v0 = support[0][1]
         for row, _ in self.constraints[: self.num_eq]:
             if len(row) == len(support):
                 r0 = row[0][1]
-                if all(i == j and r * v0 == v * r0 for (i, r), (j, v) in zip(row, support)):
+                if r0 and all(i == j and r * v0 == v * r0 for (i, r), (j, v) in zip(row, support)):
                     return True
         return False
 
@@ -367,21 +371,17 @@ def _advance(point: Point, t: Fraction, d: Sequence[int]) -> Point:
     return nums, den
 
 
-def _purify(red: _Constraints, point: Point, gain: list[int]) -> tuple[Point, list[int]]:
-    """Drive the point to a vertex without ever decreasing the objective `gain`.
+def _purify(red: _Constraints, point: Point, slacks: list[int], gain: list[int]) -> tuple[Point, list[int]]:
+    """Drive a feasible point to a vertex without ever decreasing the objective `gain`.
 
-    The start point is checked against every constraint first (the
-    pre-check of each caller), from the slacks the first tight set is read
-    from.  Returns the vertex and an active set at it: the tight
+    `slacks` are the constraints' slacks at the point, which the caller
+    has checked.  Returns the vertex and an active set at it: the tight
     constraints whose rows the last elimination kept.  That elimination
     left no null vector, so they are `n` independent constraints, every
     independent equality among them; dependent equalities are implied by
     the kept rows.  This is the "is a vertex" guarantee the simplex starts
     from.
     """
-    slacks = red.slacks(point)
-    if not red.holds(slacks):
-        raise PreconditionError("warm start point is not feasible for the system")
     while True:
         tight = red.tight(slacks)
         kept = _echelon(red.dense(k) for k in tight)
@@ -428,30 +428,43 @@ def _simplex(red: _Constraints, point: Point, objective: list[int], active: list
     raise InternalError("simplex iteration budget exceeded")
 
 
-def _vertex(red: _Constraints, point: Point, objective: list[int]) -> Point:
+def _vertex(red: _Constraints, point: Point, slacks: list[int], objective: list[int]) -> Point:
     """A vertex of the constraints reached from a feasible point, maximizing `objective`.
 
     An objective that is a multiple of an equality's row is constant on the
     constraints, so the purified vertex is optimal: its multipliers vanish
     off that equality, and the simplex would stop there without a pivot.
     """
-    point, active = _purify(red, point, objective)
+    point, active = _purify(red, point, slacks, objective)
     if any(objective) and not red.parallel_to_equality(objective):
         point = _simplex(red, point, objective, active)
     return point
 
 
 def extreme_point(
-    sys: LinearSystem,
-    objective: Sequence[Fraction] | None,
-    warm: Sequence[Fraction],
-) -> tuple[Fraction, ...]:
+    sys: LinearSystem | _Constraints,
+    objective: Sequence | None,
+    warm: Sequence[Fraction] | Point,
+) -> tuple[Fraction, ...] | Point:
     """A vertex of the system, objective-maximizing when one is given.
 
-    The returned point always satisfies every row exactly and has tight-row
-    rank equal to the number of unfixed variables; its objective value is
-    never below the warm start's.
+    `sys` is a `LinearSystem` with a `Fraction` objective (or None) and
+    warm start, checked as rationals, and the result is a tuple of
+    `Fraction`s; or it is the integer system of a rounding step (a
+    `_Constraints`) with an int objective and a `Point` warm start, checked
+    in integers, and the result is a `Point`.  The returned point always
+    satisfies every row exactly and has tight-row rank equal to the number
+    of unfixed variables; its objective value is never below the warm
+    start's.
     """
+    if isinstance(sys, _Constraints):
+        slacks = sys.slacks(warm)
+        if not sys.holds(slacks):
+            raise PreconditionError("warm start point is not feasible for the system")
+        point = _vertex(sys, warm, slacks, objective)
+        if not sys.holds(sys.slacks(point)):
+            raise InternalError("pivoting left the feasible region")
+        return point
     if not is_feasible(sys, warm):
         raise PreconditionError("warm start point is not feasible for the system")
     red = _Reduced(sys)
@@ -459,7 +472,7 @@ def extreme_point(
     if red.n == 0:
         return red.full_point(point)
     obj = red.reduce(objective)[0] if objective is not None else [0] * red.n
-    result = red.full_point(_vertex(red, point, obj))
+    result = red.full_point(_vertex(red, point, red.slacks(point), obj))
     if not is_feasible(sys, result):
         raise InternalError("pivoting left the feasible region")
     return result
@@ -509,10 +522,10 @@ def iterative_rounding(
     good.  Each step asks `rule(point, fractional, active)` (the set of
     fractional coordinates, the indices of the rows still imposed, in
     order) for (row index, deleted id, kind, trace label), or None when no
-    row may go.  The row is dropped and the step solves the integer LP over
-    the fractional coordinates only (`_step_constraints`): from the current
-    point to a vertex, maximizing `objective` if given, which must never
-    decrease.  Its constraints are those `extreme_point` would reduce the
+    row may go.  The row is dropped and `extreme_point` solves the integer
+    LP over the fractional coordinates only (`_step_constraints`): from the
+    current point to a vertex, maximizing `objective` if given, which must
+    never decrease.  Its constraints are those `_Reduced` would reduce the
     full system to, in the same order, less the rows with no fractional
     column, so the pivot path and every vertex are the same.  The rows are
     checked once, on the first step; each value is checked against its
@@ -548,10 +561,7 @@ def iterative_rounding(
             if values[j] < 0 or (upper is not None and values[j] > upper):
                 raise PreconditionError(f"fixed value for variable {j} violates its bounds")
         red = _step_constraints(rows, residual, active, free, values, upper)
-        point = _vertex(red, ([nums[j] for j in free], den), [gain[j] for j in free])
-        if not red.holds(red.slacks(point)):
-            raise InternalError("pivoting left the feasible region")
-        moved, den = point
+        moved, den = extreme_point(red, [gain[j] for j in free], ([nums[j] for j in free], den))
         nums = [v * den for v in values]
         for j, v in zip(free, moved):
             nums[j] = v

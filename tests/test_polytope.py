@@ -127,10 +127,12 @@ def test_parallel_to_equality():
     assert not red.parallel_to_equality([1, 0, 3])
     assert not red.parallel_to_equality([1, 1, 2])
     assert not red.parallel_to_equality([1, 1, 0])  # parallel to an inequality only
+    zeros = polytope._Constraints(2, 1, [(((0, 0), (1, 0)), 0)], 1)
+    assert not zeros.parallel_to_equality([1, 1])
 
 
 def test_rounding_rejects_a_step_that_leaves_the_feasible_region(monkeypatch):
-    monkeypatch.setattr(polytope, "_vertex", lambda red, point, objective: ([-1] * red.n, 1))
+    monkeypatch.setattr(polytope, "_vertex", lambda red, point, slacks, objective: ([-1] * red.n, 1))
     rows = [LinearRow(sparse((1, 1, 1)), "le", 2)]
     with pytest.raises(InternalError, match="pivoting left the feasible region"):
         iterative_rounding([F(1), F(1, 2), F(1, 2)], rows, _delete_first, upper=1)
@@ -150,15 +152,15 @@ def test_rounding_checks_its_result_against_the_imposed_rows(monkeypatch):
 
 
 def test_rounding_steps_solve_over_the_fractional_coordinates(monkeypatch):
-    """Each step's system has one variable per fractional coordinate and no more."""
+    """Each step calls `extreme_point` on a system with one variable per fractional coordinate."""
     sizes = []
-    core = polytope._vertex
+    entry = polytope.extreme_point
 
-    def recording(red, point, objective):
-        sizes.append((red.n, len(point[0]), len(objective)))
-        return core(red, point, objective)
+    def recording(sys_, objective, warm):
+        sizes.append((sys_.n, len(warm[0]), len(objective)))
+        return entry(sys_, objective, warm)
 
-    monkeypatch.setattr(polytope, "_vertex", recording)
+    monkeypatch.setattr(polytope, "extreme_point", recording)
     for inst, solve in ((uniform3_instance(77), solve_shm), (cyclic_sets_cacq(42), solve_cacq)):
         sizes.clear()
         result = solve(inst)
@@ -166,24 +168,30 @@ def test_rounding_steps_solve_over_the_fractional_coordinates(monkeypatch):
         assert sizes == [(step["fractional"],) * 3 for step in result.rounding_steps]
 
 
+def test_zero_row_equality_leaves_the_objective_to_the_simplex():
+    """An equality whose coefficients are all zero constrains nothing; the optimum is the box corner."""
+    sys_ = LinearSystem(2, (LinearRow(((0, 0), (1, 0)), "eq", 0),), (F(0),) * 2, (F(1),) * 2)
+    assert extreme_point(sys_, (F(1), F(1)), (F(0), F(0))) == (F(1), F(1))
+
+
 def test_objective_parallel_to_an_equality_needs_no_simplex(monkeypatch):
     """Where the step objective is a multiple of an imposed equality, the simplex stops at once."""
     systems = []
     core = polytope._vertex
 
-    def recording(red, point, objective):
-        systems.append((red, point, objective))
-        return core(red, point, objective)
+    def recording(red, point, slacks, objective):
+        systems.append((red, point, slacks, objective))
+        return core(red, point, slacks, objective)
 
     monkeypatch.setattr(polytope, "_vertex", recording)
     for seed in (0, 3):
         solve_shm(odd_cycles_instance(seed))
     solve_shm(uniform3_instance(77))
     parallel = 0
-    for red, point, objective in systems:
-        vertex, active = polytope._purify(red, point, objective)
+    for red, point, slacks, objective in systems:
+        vertex, active = polytope._purify(red, point, slacks, objective)
         parallel += red.parallel_to_equality(objective)
-        assert core(red, point, objective) == polytope._simplex(red, vertex, objective, active)
+        assert core(red, point, slacks, objective) == polytope._simplex(red, vertex, objective, active)
     assert 0 < parallel < len(systems)
 
 

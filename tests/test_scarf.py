@@ -677,6 +677,16 @@ PINNED_PATHS = [
     ("cacq", solve_cacq, 5, "1e44af2daf414d158ce8e8969fd2f15f76c2a9ce2c31f318c5729150375d991f"),
     ("shm-highcap", solve_shm, 6, "425809b64658e790dc8639e2c7ebc19134c079e494664cb9746105d1cccfda86"),
     ("rational", solve_scarf, 3, "e128b5901b9b63a0103be37d808555a89c12876b35502baf5ced8b3c9fd230bb"),
+    # Large tier, recorded before the ordinal step moved to the shared utility
+    # template: instances the size of the benchmark's large workload, where a
+    # step meets high rows, the top cut-off and orphan walks past the ranked
+    # columns.  shm seed 23 also rounds.
+    ("shm", solve_shm, 3, "694ac938315bf533e5fb86ac2109a06573fc048498d9aad95d7ef25dc99197cd"),
+    ("shm", solve_shm, 17, "25efa6f4489ca3fd0b62d0b2f2a312f217d5fda63163fbd63a015bafc891eca2"),
+    ("shm", solve_shm, 23, "66706bb2140a20ce0212d568f5efee1cd5dc75aeae1b25021f865a059696796c"),
+    ("cacq", solve_cacq, 12, "13a3971bc65dba4240d1c1877dc8e4b46ca236a8868116d9acf29cda489b4860"),
+    ("cacq", solve_cacq, 13, "265f26015722010b67de130e1ab8f202ecca5ac58d38a6b756ac0e6c2a3c06e6"),
+    ("shm-highcap", solve_shm, 10, "58bfe76b81a9b60d0c3f3b98394a4d1b1bc64d85ce54070d0b64940baf1d8d94"),
 ]
 
 

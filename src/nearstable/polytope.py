@@ -208,6 +208,8 @@ class LinearSystem:
     fixed: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if len(self.lower) != self.num_vars or len(self.upper) != self.num_vars:
+            raise PreconditionError("lower and upper need one bound per variable")
         for row in self.rows:
             if any(not 0 <= j < self.num_vars for j, _ in row.coeffs):
                 raise PreconditionError("row column outside 0..num_vars-1")
@@ -216,6 +218,8 @@ class LinearSystem:
             if not _is_int(row.rhs) or not all(_is_int(c) for _, c in row.coeffs):
                 raise PreconditionError("row coefficients and rhs must be ints")
         for j, value in self.fixed.items():
+            if not 0 <= j < self.num_vars:
+                raise PreconditionError(f"fixed variable {j} outside 0..num_vars-1")
             lo, up = self.lower[j], self.upper[j]
             if value < lo or (up is not None and value > up):
                 raise PreconditionError(f"fixed value for variable {j} violates its bounds")
@@ -457,6 +461,9 @@ def extreme_point(
     of unfixed variables; its objective value is never below the warm
     start's.
     """
+    num_vars = sys.n if isinstance(sys, _Constraints) else sys.num_vars
+    if objective is not None and len(objective) != num_vars:
+        raise PreconditionError(f"objective has {len(objective)} entries for {num_vars} variables")
     if isinstance(sys, _Constraints):
         slacks = sys.slacks(warm)
         if not sys.holds(slacks):

@@ -29,11 +29,15 @@ guards the loop.
 Both halves work over nonzeros only.  A tableau row keeps its nonzero
 integers in a dict, and a pivot updates just the rows with a nonzero in
 the entering column (a pivot that changes the common denominator also
-rescales the other rows' stored nonzeros).  An ordinal step tests a candidate column only
-against the rows whose basis minimum is positive: a row with minimum 0
-blocks nothing but its own slack, and no other row's slack can enter.
+rescales the other rows' stored nonzeros).  An ordinal step reads only
+the rows and columns it touches.  Every row's utilities copy one template
+(real column j at m+1+j, slack k at 2m+1+k) with its own slack at 0 and
+its ranked columns at 1..r, so a row's next basis minimum is a walk
+upward from its old one.  A candidate column is tested against its
+support (the rows ranking it) and against the largest minimum among the
+high rows, those whose minimum is held by a column they do not rank.
 The integers, and so every ratio row, pivot and vertex, are those of the
-dense tableau.
+dense tableau, and every ordinal step is the dense rule's.
 """
 
 from __future__ import annotations
@@ -217,29 +221,31 @@ def certify_extreme(problem: ScarfProblem, x: Sequence[Fraction]) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _template(n: int, m: int) -> list[int]:
+    """The utilities every row starts from: slack k gets 2m+1+k and real column j gets m+1+j."""
+    return [*range(2 * m + 1, 2 * m + 1 + n), *range(m + 1, 2 * m + 1)]
+
+
 def _utility_matrix(problem: ScarfProblem) -> list[list[int]]:
     """Standard-form utilities over slack columns 0..n-1 and real columns n..n+m-1.
 
-    Within each row: the own slack gets 0 (unique minimum), ranked real
-    columns get 1..r (best highest), zero-entry real columns sit above
-    them, and foreign slacks sit above everything.  All entries in a row
-    are distinct, which makes every ordinal step unambiguous.
+    Every row is a copy of `_template`, with the row's own slack set to 0
+    (the unique minimum) and its ranked columns to 1..r (best highest) in
+    place.  So within a row the ranked columns lie below the unranked real
+    columns, which follow their index, and the foreign slacks lie above
+    everything.  All entries in a row are distinct, which makes every
+    ordinal step unambiguous; the engine compares entries only within one
+    row.
     """
     n, m = problem.num_rows, problem.num_cols
+    template = _template(n, m)
     util = []
-    for i in range(n):
-        row = [0] * (n + m)
-        order = problem.row_orders[i]
+    for i, order in enumerate(problem.row_orders):
+        row = template.copy()
+        row[i] = 0
         r = len(order)
         for p, j in enumerate(order):
             row[n + j] = r - p
-        t = 0
-        for j in range(m):
-            if not row[n + j]:  # unranked, so Q_ij = 0
-                t += 1
-                row[n + j] = r + t
-        for k in range(n):
-            row[k] = m + 2 + k if k != i else 0
         util.append(row)
     return util
 
@@ -353,75 +359,116 @@ class _Tableau:
 class _OrdinalBasis:
     """Ordinal basis with the row -> minimum-holding-column bijection.
 
-    `util` is a `_utility_matrix`: nonnegative and distinct within a row,
-    0 exactly on the row's own slack.  The per-row minima over the basis,
-    the inverse of `owner` and the set of rows whose minimum is positive
-    are kept up to date by `replace`, which changes exactly two minima per
-    step.  A row whose minimum is 0 lies below its minimum only on its own
-    slack, so it can block no column but that slack; and a foreign slack k
-    is blocked by row k.  So a step scans home's columns without the other
-    rows' slacks and tests each only against the positive-minimum rows.
+    `util` is the `_utility_matrix` of a problem whose rows rank the real
+    columns `orders`.  The per-row minima over the basis, the inverse of
+    `owner` and the high rows are kept up to date by `replace`, which
+    changes exactly two minima per step.  A row is high when its minimum
+    lies above m, so a column the row does not rank holds it.
+
+    A row blocks the columns at or below its minimum.  A row whose minimum
+    is 0 holds its own slack and blocks nothing else; a foreign slack k is
+    blocked by row k.  Any other column c is blocked by a row other than
+    home exactly when a row of c's support (the rows ranking c, kept with
+    their utility for c) has c at or below its minimum, or c's template
+    value lies below `top`, the largest minimum among the high rows other
+    than home: a row not ranking c holds it at the template value, which
+    only a high row's minimum can exceed.
     """
 
-    def __init__(self, util: list[list[int]], columns: list[int], owner: dict[int, int]):
+    def __init__(self, util: list[list[int]], orders: Sequence[Sequence[int]], columns: list[int], owner: dict[int, int]):
+        n = len(util)
+        m = len(util[0]) - n
         self.util = util
+        self.n, self.m = n, m
+        self.template = _template(n, m)
+        self.ranked = [[n + j for j in order] for order in orders]  # best first
+        self.support: list[list[tuple[int, int]]] = [[] for _ in range(n + m)]
+        for i, ranked in enumerate(self.ranked):
+            for c in ranked:
+                self.support[c].append((i, util[i][c]))
         self.columns = set(columns)
         self.owner = owner  # row -> column holding that row's minimum
         self.row_of = {col: row for row, col in owner.items()}
-        self.mins = [min(map(row.__getitem__, self.columns)) for row in util]
-        self.positive = {i for i, low in enumerate(self.mins) if low}
-        self._descending: dict[int, list[int]] = {}
+        self.mins = [util[i][self._lowest(i, -1)] for i in range(n)]
+        self.high = {i for i, low in enumerate(self.mins) if low > m}
 
-    def _candidates(self, row: int) -> list[int]:
-        """Row's own slack and every real column, best first in `row`; built on first use."""
-        order = self._descending.get(row)
-        if order is None:
-            n = len(self.util)
-            order = sorted([row, *range(n, len(self.util[row]))], key=self.util[row].__getitem__, reverse=True)
-            self._descending[row] = order
-        return order
+    def _lowest(self, row: int, above: int) -> int:
+        """The basis column holding `row`'s minimum, when no basis column lies at or below `above` in it.
+
+        Walks the row upward from `above`: own slack, ranked columns worst
+        first, unranked real columns by index, then foreign slacks.  The walk
+        reaches the foreign slacks only when the remaining columns are
+        foreign slacks alone, which leaves the step no completion, so that
+        part starts at slack 0.
+        """
+        n, m, columns, ranked = self.n, self.m, self.columns, self.ranked[row]
+        if above < 0 and row in columns:
+            return row
+        for c in reversed(ranked[: max(len(ranked) - above, 0)]):
+            if c in columns:
+                return c
+        util = self.util[row]
+        for c in range(n + max(above - m, 0), n + m):
+            if util[c] > m and c in columns:
+                return c
+        for c in range(n):
+            if c in columns:
+                return c
+        raise InternalError("ordinal basis has no column above the minimum")
 
     def _set_min(self, row: int, low: int):
         self.mins[row] = low
-        if low:
-            self.positive.add(row)
+        if low > self.m:
+            self.high.add(row)
         else:
-            self.positive.discard(row)
+            self.high.discard(row)
 
     def replace(self, out_col: int) -> int:
         """Remove `out_col`, add the unique alternative completion.
 
-        The orphaned row's minimum falls to some remaining column, which
-        then holds two rows; the entering column is the best column (in
-        the doubled column's original row) lying strictly above the
-        current minima in every other row.  Only the orphaned row's and
+        The orphaned row's minimum rises to the next basis column in that
+        row, which then holds two rows; the entering column is the best
+        column (in the doubled column's original row) lying strictly above
+        the current minima in every other row.  Only the orphaned row's and
         that home row's minima change.
         """
-        util = self.util
-        mins = self.mins
-        columns = self.columns
+        util, mins, columns, support = self.util, self.mins, self.columns, self.support
+        n, m = self.n, self.m
         orphan = self.row_of.pop(out_col)
         columns.remove(out_col)
-        orphan_util = util[orphan]
-        doubled = min(columns, key=orphan_util.__getitem__)
-        self._set_min(orphan, orphan_util[doubled])
+        doubled = self._lowest(orphan, mins[orphan])
+        self._set_min(orphan, util[orphan][doubled])
         home = self.row_of[doubled]
-        home_min = mins[home]
-        blockers = [(util[i], mins[i]) for i in self.positive if i != home]
+        home_util, home_min = util[home], mins[home]
+        top = max((mins[i] for i in self.high if i != home), default=0)
         entering = None
-        for c in self._candidates(home):
-            if c in columns:
+        # Home's unranked real columns, best first.  Their template value
+        # m+1+j falls with j, so the scan ends where it drops below top.
+        for c in range(n + m - 1, n + max(top - m - 1, 0) - 1, -1):
+            if home_util[c] <= m or c in columns:
                 continue
-            for row, low in blockers:
-                if row[c] <= low:
+            for i, u in support[c]:
+                if u <= mins[i]:
                     break
             else:
                 entering = c
                 break
-        if entering is None or util[home][entering] >= home_min:
+        else:
+            # Then home's ranked columns best first, and home's own slack.
+            template = self.template
+            for c in (*self.ranked[home], home):
+                if c in columns or template[c] < top:
+                    continue
+                for i, u in support[c]:
+                    if u <= mins[i] and i != home:
+                        break
+                else:
+                    entering = c
+                    break
+        if entering is None or home_util[entering] >= home_min:
             raise InternalError("ordinal replacement step has no valid completion")
         columns.add(entering)
-        self._set_min(home, util[home][entering])
+        self._set_min(home, home_util[entering])
         self.owner[orphan] = doubled
         self.owner[home] = entering
         self.row_of[doubled] = orphan
@@ -445,11 +492,11 @@ def solve_scarf(
         return DominatingPoint(x=(), dominating_row={})
     util = _utility_matrix(problem)
     tableau = _Tableau(problem)
-    first_real = max(range(n, n + m), key=lambda c: util[0][c])
+    first_real = max(range(n, n + m), key=util[0].__getitem__)
     owner = {0: first_real}
     for i in range(1, n):
         owner[i] = i
-    ordinal = _OrdinalBasis(util, [first_real] + list(range(1, n)), owner)
+    ordinal = _OrdinalBasis(util, problem.row_orders, [first_real] + list(range(1, n)), owner)
 
     def colname(c: int) -> str:
         return f"s{c}" if c < n else f"x{c - n}"

@@ -90,6 +90,37 @@ def test_row_column_outside_num_vars_rejected():
         LinearSystem(2, (LinearRow(sparse((1, 0, 1)), "le", 1),), (F(0),) * 2, (F(1),) * 2)
 
 
+def test_fixed_key_outside_num_vars_rejected():
+    with pytest.raises(PreconditionError, match="fixed variable 5 outside"):
+        LinearSystem(2, (), (F(0),) * 2, (F(1),) * 2, fixed={5: F(1)})
+    with pytest.raises(PreconditionError, match="fixed variable -1 outside"):
+        LinearSystem(2, (), (F(0),) * 2, (F(1),) * 2, fixed={-1: F(1)})
+
+
+def test_lower_bounds_need_one_entry_per_variable():
+    for lower in ((F(0),), (F(0),) * 3):
+        with pytest.raises(PreconditionError, match="one bound per variable"):
+            LinearSystem(2, (), lower, (F(1),) * 2)
+
+
+def test_upper_bounds_need_one_entry_per_variable():
+    for upper in ((F(1),), (F(1), None, F(1))):
+        with pytest.raises(PreconditionError, match="one bound per variable"):
+            LinearSystem(2, (), (F(0),) * 2, upper)
+
+
+def test_objective_needs_one_entry_per_variable():
+    """Both the rational and the integer entry check the objective's length."""
+    for objective in ((F(1),), (F(1),) * 3):
+        with pytest.raises(PreconditionError, match="objective has"):
+            extreme_point(box(2), objective, (F(1, 2), F(0)))
+    red = polytope._Constraints(2, 0, [(((0, 1),), 1), (((1, 1),), 1)], 2)
+    for objective in ([1], [1, 1, 1]):
+        with pytest.raises(PreconditionError, match="objective has"):
+            extreme_point(red, objective, ([0, 0], 1))
+    assert extreme_point(red, [1, 1], ([0, 0], 1)) == ([1, 1], 1)
+
+
 def test_rows_hold_ints_only():
     """A Fraction coefficient or rhs is rejected even when it is integral, and so is a bool."""
     bad = [(((0, F(1)),), 1), (((0, 1),), F(1)), (((0, F(1, 2)),), 1), (((0, True),), 1), (((0, 1),), True)]

@@ -355,6 +355,35 @@ def test_trace_lines_have_documented_shape():
         assert parts[4] in ("kind=cardinal", "kind=ordinal")
 
 
+def _reference_utility(problem: ScarfProblem) -> list[list[int]]:
+    """The engine's utilities as first written, kept as an independent reference.
+
+    Row i: own slack 0, ranked columns 1..r (best highest), the unranked
+    real columns r+1.. in index order, foreign slack k at m+2+k.
+    """
+    n, m = problem.num_rows, problem.num_cols
+    util = []
+    for i, order in enumerate(problem.row_orders):
+        row = [0] * (n + m)
+        r = len(order)
+        for p, j in enumerate(order):
+            row[n + j] = r - p
+        t = 0
+        for j in range(m):
+            if not row[n + j]:
+                t += 1
+                row[n + j] = r + t
+        for k in range(n):
+            row[k] = m + 2 + k if k != i else 0
+        util.append(row)
+    return util
+
+
+def _ranked_columns(problem: ScarfProblem) -> list[set[int]]:
+    n = problem.num_rows
+    return [{n + j for j in order} for order in problem.row_orders]
+
+
 def _is_ordinal_basis(util, columns):
     """Definition check: every column is weakly below some row's basis minimum."""
     n = len(util)
@@ -365,15 +394,44 @@ def _is_ordinal_basis(util, columns):
     return True
 
 
-def _assert_ordinal_state(util, ordinal):
-    """The incrementally kept minima and owner maps match a recomputation."""
-    n = len(util)
-    assert ordinal.mins == [min(util[i][c] for c in ordinal.columns) for i in range(n)]
-    assert sorted(ordinal.owner) == list(range(n))
+def _assert_ordinal_state(problem, reference, ordinal):
+    """The incrementally kept owners, minima and high rows match a recomputation from `reference`."""
+    n = len(reference)
+    holders = [min(ordinal.columns, key=reference[i].__getitem__) for i in range(n)]
+    assert ordinal.owner == dict(enumerate(holders))
     assert set(ordinal.owner.values()) == ordinal.columns == set(ordinal.row_of)
     assert all(ordinal.row_of[col] == row for row, col in ordinal.owner.items())
-    assert all(util[row][col] == ordinal.mins[row] for row, col in ordinal.owner.items())
-    assert ordinal.positive == {i for i in range(n) if ordinal.mins[i] > 0}
+    assert ordinal.mins == [ordinal.util[i][col] for i, col in enumerate(holders)]
+    ranked = _ranked_columns(problem)
+    assert ordinal.high == {i for i, col in enumerate(holders) if col != i and col not in ranked[i]}
+
+
+def _random_problem(rng: random.Random, max_rows: int = 5, max_cols: int = 6) -> ScarfProblem:
+    n = rng.randint(2, max_rows)
+    m = rng.randint(2, max_cols)
+    rows = [[rng.choice([0, 1, 1, 2]) for _ in range(m)] for _ in range(n)]
+    for j in range(m):
+        if all(rows[i][j] == 0 for i in range(n)):
+            rows[rng.randrange(n)][j] = 1
+    orders = []
+    for i in range(n):
+        nonzero = [j for j in range(m) if rows[i][j] != 0]
+        rng.shuffle(nonzero)
+        orders.append(tuple(nonzero))
+    return make_problem(rows, [1] * n, orders)
+
+
+def test_utility_rows_sort_columns_as_the_reference_formula():
+    """Every row of the template layout orders its columns exactly as the reference, with distinct entries."""
+    from nearstable.scarf import _utility_matrix
+
+    rng = random.Random(7)
+    problems = [_random_problem(rng) for _ in range(200)] + [rational_problem(seed) for seed in range(20)]
+    for problem in problems:
+        width = problem.num_rows + problem.num_cols
+        for row, ref in zip(_utility_matrix(problem), _reference_utility(problem)):
+            assert len(set(row)) == width
+            assert sorted(range(width), key=row.__getitem__) == sorted(range(width), key=ref.__getitem__)
 
 
 def test_every_intermediate_ordinal_basis_is_genuine():
@@ -382,27 +440,17 @@ def test_every_intermediate_ordinal_basis_is_genuine():
 
     rng = random.Random(99)
     for trial in range(40):
-        n = rng.randint(2, 5)
-        m = rng.randint(2, 6)
-        rows = [[rng.choice([0, 1, 1, 2]) for _ in range(m)] for _ in range(n)]
-        for j in range(m):
-            if all(rows[i][j] == 0 for i in range(n)):
-                rows[rng.randrange(n)][j] = 1
-        orders = []
-        for i in range(n):
-            nonzero = [j for j in range(m) if rows[i][j] != 0]
-            rng.shuffle(nonzero)
-            orders.append(tuple(nonzero))
-        problem = make_problem(rows, [1] * n, orders)
-        util = _utility_matrix(problem)
+        problem = _random_problem(rng)
+        n, m = problem.num_rows, problem.num_cols
+        reference = _reference_utility(problem)
         tableau = _Tableau(problem)
-        first = max(range(n, n + m), key=lambda c: util[0][c])
+        first = max(range(n, n + m), key=reference[0].__getitem__)
         owner = {0: first}
         for i in range(1, n):
             owner[i] = i
-        ordinal = _OrdinalBasis(util, [first] + list(range(1, n)), owner)
-        assert _is_ordinal_basis(util, ordinal.columns)
-        _assert_ordinal_state(util, ordinal)
+        ordinal = _OrdinalBasis(_utility_matrix(problem), problem.row_orders, [first] + list(range(1, n)), owner)
+        assert _is_ordinal_basis(reference, ordinal.columns)
+        _assert_ordinal_state(problem, reference, ordinal)
         entering = first
         for _ in range(10_000):
             row, holders = tableau.ratio_row(entering)
@@ -410,8 +458,8 @@ def test_every_intermediate_ordinal_basis_is_genuine():
             if leaving == 0:
                 break
             added = ordinal.replace(leaving)
-            assert _is_ordinal_basis(util, ordinal.columns), trial
-            _assert_ordinal_state(util, ordinal)
+            assert _is_ordinal_basis(reference, ordinal.columns), trial
+            _assert_ordinal_state(problem, reference, ordinal)
             if added == 0:
                 break
             entering = added
@@ -488,26 +536,52 @@ class DenseTableau:
 
 
 class DenseOrdinalBasis:
-    """Ordinal steps that recompute every minimum and test every column against every row."""
+    """Ordinal steps over the reference utilities that recompute every minimum and test every column against every row.
 
-    def __init__(self, util, columns, owner):
-        self.util = util
+    `reached` counts the steps whose situation takes each branch of the
+    engine's sparse step:
+    - "walk": the orphan's new minimum is a column it does not rank;
+    - "high": a candidate tried before the entering column is blocked by a
+      high row (one whose minimum is held by a column it does not rank)
+      that does not rank the candidate;
+    - "cut": such a blocked candidate is one of home's unranked columns and
+      the entering column is not, so the scan of those ends at the cut-off;
+    - "slack": home's own slack enters.
+    """
+
+    def __init__(self, problem, columns, owner):
+        self.util = _reference_utility(problem)
+        self.ranked = _ranked_columns(problem)
         self.columns = set(columns)
         self.owner = dict(owner)
         self.row_of = {col: row for row, col in owner.items()}
+        self.reached = dict.fromkeys(("walk", "high", "cut", "slack"), 0)
 
     def replace(self, out_col: int) -> int:
-        util, columns = self.util, self.columns
+        util, columns, ranked = self.util, self.columns, self.ranked
+        n = len(util)
         orphan = self.row_of.pop(out_col)
         columns.remove(out_col)
         doubled = min(columns, key=util[orphan].__getitem__)
         home = self.row_of[doubled]
-        mins = [min(row[c] for c in columns) for row in util]
+        holders = [min(columns, key=row.__getitem__) for row in util]
+        mins = [row[c] for row, c in zip(util, holders)]
         mins[home] = -1
         order = sorted(range(len(util[home])), key=util[home].__getitem__, reverse=True)
         entering = next((c for c in order if c not in columns and all(row[c] > low for row, low in zip(util, mins))), None)
         if entering is None or util[home][entering] >= min(util[home][c] for c in columns):
             raise InternalError("ordinal replacement step has no valid completion")
+        high = [i for i, c in enumerate(holders) if i != home and c != i and c not in ranked[i]]
+        high_blocked = [
+            c
+            for c in order[: order.index(entering)]
+            if (c >= n or c == home) and c not in columns and any(c not in ranked[i] and util[i][c] <= mins[i] for i in high)
+        ]
+        home_unranked = [c for c in high_blocked if c >= n and c not in ranked[home]]
+        self.reached["walk"] += doubled not in ranked[orphan]
+        self.reached["high"] += bool(high_blocked)
+        self.reached["cut"] += bool(home_unranked) and (entering in ranked[home] or entering == home)
+        self.reached["slack"] += entering == home
         columns.add(entering)
         self.owner[orphan], self.owner[home] = doubled, entering
         self.row_of[doubled], self.row_of[entering] = orphan, home
@@ -528,16 +602,17 @@ def _dense_rows(tableau) -> list[list[int]]:
 
 
 def _lockstep(problem: ScarfProblem):
-    """Walk the sparse engine and the dense reference together; return the reference tableau."""
+    """Walk the sparse engine and the dense reference together; return both reference halves."""
     from nearstable.scarf import _OrdinalBasis, _Tableau, _utility_matrix
 
     n, m = problem.num_rows, problem.num_cols
     util = _utility_matrix(problem)
     sparse_tab, dense_tab = _Tableau(problem), DenseTableau(problem)
-    first = max(range(n, n + m), key=lambda c: util[0][c])
+    first = max(range(n, n + m), key=util[0].__getitem__)
     owner = {0: first, **{i: i for i in range(1, n)}}
-    sparse_ord = _OrdinalBasis(util, [first] + list(range(1, n)), dict(owner))
-    dense_ord = DenseOrdinalBasis(util, [first] + list(range(1, n)), owner)
+    sparse_ord = _OrdinalBasis(util, problem.row_orders, [first] + list(range(1, n)), dict(owner))
+    dense_ord = DenseOrdinalBasis(problem, [first] + list(range(1, n)), owner)
+    assert first == max(range(n, n + m), key=dense_ord.util[0].__getitem__)
     entering = first
     for _ in range(100_000):
         row = dense_tab.ratio_row(entering)
@@ -552,12 +627,13 @@ def _lockstep(problem: ScarfProblem):
         entering = dense_ord.replace(leaving)
         assert sparse_ord.replace(leaving) == entering
         assert (sparse_ord.owner, sparse_ord.row_of) == (dense_ord.owner, dense_ord.row_of)
+        _assert_ordinal_state(problem, dense_ord.util, sparse_ord)
         if entering == 0:
             break
     else:
         pytest.fail("pivoting did not terminate")
     assert sparse_tab.solution() == list(solve_scarf(problem).x)
-    return dense_tab
+    return dense_tab, dense_ord
 
 
 def _gadget_problem(seed: int) -> ScarfProblem:
@@ -573,6 +649,7 @@ def test_sparse_engine_follows_dense_reference_step_by_step():
     """Same ratio rows, leaving and entering columns, den, rhs and tableau at every step."""
     rng = random.Random(909)
     reached = {"rational": [0, 0], "degenerate": [0, 0], "gadget": [0, 0]}
+    branches = dict.fromkeys(("walk", "high", "cut", "slack"), 0)
     for trial in range(60):
         n, m = rng.randint(2, 7), rng.randint(2, 8)
         rows = [[rng.choice([0, 0, 1, 2, F(1, 2), F(2, 3), F(5, 7), 3]) for _ in range(m)] for _ in range(n)]
@@ -593,16 +670,64 @@ def test_sparse_engine_follows_dense_reference_step_by_step():
             ("gadget", _gadget_problem(trial)),
         ]
         for kind, problem in cases:
-            reference = _lockstep(problem)
-            reached[kind][0] += reference.ties
-            reached[kind][1] += reference.rescales
+            tableau, ordinal = _lockstep(problem)
+            reached[kind][0] += tableau.ties
+            reached[kind][1] += tableau.rescales
+            for branch, count in ordinal.reached.items():
+                branches[branch] += count
     assert reached["rational"][1] > 100 and reached["degenerate"][0] > 100, reached
     assert reached["gadget"][0] > 200, reached
+    # The orphan's walk past its ranked columns is reached off the pivot path only.
+    assert min(branches["high"], branches["cut"], branches["slack"]) > 100, branches
+
+
+def test_ordinal_steps_off_the_pivot_path_match_the_reference():
+    """Random ordinal steps from arbitrary ordinal bases, sparse against dense.
+
+    Along the pivot path only row 0 can be high: every other row keeps a
+    nonzero of the cardinal basis, its own slack or a ranked column.  And
+    in every trial the orphan's new minimum was a ranked column.  Removing
+    arbitrary basis columns reaches the other states too.  Removing the
+    last real column leaves no completion, and both must fail.
+    """
+    from nearstable.scarf import _OrdinalBasis, _utility_matrix
+
+    rng = random.Random(5150)
+    branches = dict.fromkeys(("walk", "high", "cut", "slack"), 0)
+    steps = failed = 0
+    for _ in range(150):
+        problem = _random_problem(rng, max_rows=6, max_cols=9)
+        n, m = problem.num_rows, problem.num_cols
+        util = _utility_matrix(problem)
+        first = max(range(n, n + m), key=util[0].__getitem__)
+        owner = {0: first, **{i: i for i in range(1, n)}}
+        sparse_ord = _OrdinalBasis(util, problem.row_orders, [first] + list(range(1, n)), dict(owner))
+        dense_ord = DenseOrdinalBasis(problem, [first] + list(range(1, n)), owner)
+        for _ in range(30):
+            columns = sorted(dense_ord.columns)
+            # Removing the last real column leaves only slacks, which have no completion.
+            out_col = rng.choice([c for c in columns if any(d >= n for d in columns if d != c)])
+            entering = dense_ord.replace(out_col)
+            assert sparse_ord.replace(out_col) == entering
+            assert (sparse_ord.owner, sparse_ord.row_of) == (dense_ord.owner, dense_ord.row_of)
+            assert _is_ordinal_basis(dense_ord.util, sparse_ord.columns)
+            _assert_ordinal_state(problem, dense_ord.util, sparse_ord)
+            steps += 1
+        real = [c for c in dense_ord.columns if c >= n]
+        if len(real) == 1:
+            for ordinal in (dense_ord, sparse_ord):
+                with pytest.raises(InternalError):
+                    ordinal.replace(real[0])
+            failed += 1
+        for branch, count in dense_ord.reached.items():
+            branches[branch] += count
+    assert steps > 2000 and failed > 20, (steps, failed)
+    assert min(branches.values()) > 100, branches
 
 
 def test_pinned_rational_problem_rescales():
     """The pinned rational problem reaches the piv != den branch."""
-    assert _lockstep(rational_problem(3)).rescales > 5
+    assert _lockstep(rational_problem(3))[0].rescales > 5
 
 
 def test_problem_validation():

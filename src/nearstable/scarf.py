@@ -359,11 +359,12 @@ class _Tableau:
 class _OrdinalBasis:
     """Ordinal basis with the row -> minimum-holding-column bijection.
 
-    `util` is the `_utility_matrix` of a problem whose rows rank the real
-    columns `orders`.  The per-row minima over the basis, the inverse of
-    `owner` and the high rows are kept up to date by `replace`, which
-    changes exactly two minima per step.  A row is high when its minimum
-    lies above m, so a column the row does not rank holds it.
+    The basis starts from row 0's best real column and the other rows'
+    slacks, over the problem's `_utility_matrix`.  The per-row minima over
+    the basis, the inverse of `owner` and the high rows are kept up to
+    date by `replace`, which changes exactly two minima per step.  A row
+    is high when its minimum lies above m, so a column the row does not
+    rank holds it.
 
     A row blocks the columns at or below its minimum.  A row whose minimum
     is 0 holds its own slack and blocks nothing else; a foreign slack k is
@@ -375,35 +376,34 @@ class _OrdinalBasis:
     only a high row's minimum can exceed.
     """
 
-    def __init__(self, util: list[list[int]], orders: Sequence[Sequence[int]], columns: list[int], owner: dict[int, int]):
-        n = len(util)
-        m = len(util[0]) - n
-        self.util = util
+    def __init__(self, problem: ScarfProblem):
+        n, m = problem.num_rows, problem.num_cols
         self.n, self.m = n, m
+        self.util = util = _utility_matrix(problem)
         self.template = _template(n, m)
-        self.ranked = [[n + j for j in order] for order in orders]  # best first
+        self.ranked = [[n + j for j in order] for order in problem.row_orders]  # best first
         self.support: list[list[tuple[int, int]]] = [[] for _ in range(n + m)]
         for i, ranked in enumerate(self.ranked):
             for c in ranked:
                 self.support[c].append((i, util[i][c]))
-        self.columns = set(columns)
-        self.owner = owner  # row -> column holding that row's minimum
-        self.row_of = {col: row for row, col in owner.items()}
-        self.mins = [util[i][self._lowest(i, -1)] for i in range(n)]
+        # Every foreign slack lies above every real column, so row 0's
+        # minimum is its best real column and every other row's its slack.
+        first = max(range(n, n + m), key=util[0].__getitem__)
+        self.owner = {0: first, **{i: i for i in range(1, n)}}  # row -> column holding that row's minimum
+        self.row_of = {col: row for row, col in self.owner.items()}
+        self.columns = set(self.row_of)
+        self.mins = [util[0][first]] + [0] * (n - 1)
         self.high = {i for i, low in enumerate(self.mins) if low > m}
 
     def _lowest(self, row: int, above: int) -> int:
-        """The basis column holding `row`'s minimum, when no basis column lies at or below `above` in it.
+        """The basis column holding `row`'s minimum, when no basis column lies at or below `above` >= 0 in it.
 
-        Walks the row upward from `above`: own slack, ranked columns worst
-        first, unranked real columns by index, then foreign slacks.  The walk
-        reaches the foreign slacks only when the remaining columns are
-        foreign slacks alone, which leaves the step no completion, so that
-        part starts at slack 0.
+        Walks the row upward from `above`, past its own slack: ranked
+        columns worst first, then unranked real columns by index.  With
+        neither in the basis, only foreign slacks remain, and the one of
+        lowest index is lowest (the step then has no completion).
         """
         n, m, columns, ranked = self.n, self.m, self.columns, self.ranked[row]
-        if above < 0 and row in columns:
-            return row
         for c in reversed(ranked[: max(len(ranked) - above, 0)]):
             if c in columns:
                 return c
@@ -411,10 +411,7 @@ class _OrdinalBasis:
         for c in range(n + max(above - m, 0), n + m):
             if util[c] > m and c in columns:
                 return c
-        for c in range(n):
-            if c in columns:
-                return c
-        raise InternalError("ordinal basis has no column above the minimum")
+        return min(columns)
 
     def _set_min(self, row: int, low: int):
         self.mins[row] = low
@@ -490,18 +487,13 @@ def solve_scarf(
     n, m = problem.num_rows, problem.num_cols
     if m == 0:
         return DominatingPoint(x=(), dominating_row={})
-    util = _utility_matrix(problem)
     tableau = _Tableau(problem)
-    first_real = max(range(n, n + m), key=util[0].__getitem__)
-    owner = {0: first_real}
-    for i in range(1, n):
-        owner[i] = i
-    ordinal = _OrdinalBasis(util, problem.row_orders, [first_real] + list(range(1, n)), owner)
+    ordinal = _OrdinalBasis(problem)
 
     def colname(c: int) -> str:
         return f"s{c}" if c < n else f"x{c - n}"
 
-    entering = first_real
+    entering = ordinal.owner[0]  # row 0's best real column
     pivots = 0
     while True:
         if pivots >= pivot_budget:

@@ -436,22 +436,17 @@ def test_utility_rows_sort_columns_as_the_reference_formula():
 
 def test_every_intermediate_ordinal_basis_is_genuine():
     """White-box walk of the pivoting loop, re-checking each ordinal basis."""
-    from nearstable.scarf import _OrdinalBasis, _Tableau, _utility_matrix
+    from nearstable.scarf import _OrdinalBasis, _Tableau
 
     rng = random.Random(99)
     for trial in range(40):
         problem = _random_problem(rng)
-        n, m = problem.num_rows, problem.num_cols
         reference = _reference_utility(problem)
         tableau = _Tableau(problem)
-        first = max(range(n, n + m), key=reference[0].__getitem__)
-        owner = {0: first}
-        for i in range(1, n):
-            owner[i] = i
-        ordinal = _OrdinalBasis(_utility_matrix(problem), problem.row_orders, [first] + list(range(1, n)), owner)
+        ordinal = _OrdinalBasis(problem)
         assert _is_ordinal_basis(reference, ordinal.columns)
         _assert_ordinal_state(problem, reference, ordinal)
-        entering = first
+        entering = ordinal.owner[0]
         for _ in range(10_000):
             row, holders = tableau.ratio_row(entering)
             leaving = tableau.pivot(row, entering, holders)
@@ -549,12 +544,14 @@ class DenseOrdinalBasis:
     - "slack": home's own slack enters.
     """
 
-    def __init__(self, problem, columns, owner):
+    def __init__(self, problem: ScarfProblem):
+        n, m = problem.num_rows, problem.num_cols
         self.util = _reference_utility(problem)
         self.ranked = _ranked_columns(problem)
-        self.columns = set(columns)
-        self.owner = dict(owner)
-        self.row_of = {col: row for row, col in owner.items()}
+        first = max(range(n, n + m), key=self.util[0].__getitem__)
+        self.owner = {0: first, **{i: i for i in range(1, n)}}
+        self.row_of = {col: row for row, col in self.owner.items()}
+        self.columns = set(self.row_of)
         self.reached = dict.fromkeys(("walk", "high", "cut", "slack"), 0)
 
     def replace(self, out_col: int) -> int:
@@ -603,17 +600,12 @@ def _dense_rows(tableau) -> list[list[int]]:
 
 def _lockstep(problem: ScarfProblem):
     """Walk the sparse engine and the dense reference together; return both reference halves."""
-    from nearstable.scarf import _OrdinalBasis, _Tableau, _utility_matrix
+    from nearstable.scarf import _OrdinalBasis, _Tableau
 
-    n, m = problem.num_rows, problem.num_cols
-    util = _utility_matrix(problem)
     sparse_tab, dense_tab = _Tableau(problem), DenseTableau(problem)
-    first = max(range(n, n + m), key=util[0].__getitem__)
-    owner = {0: first, **{i: i for i in range(1, n)}}
-    sparse_ord = _OrdinalBasis(util, problem.row_orders, [first] + list(range(1, n)), dict(owner))
-    dense_ord = DenseOrdinalBasis(problem, [first] + list(range(1, n)), owner)
-    assert first == max(range(n, n + m), key=dense_ord.util[0].__getitem__)
-    entering = first
+    sparse_ord, dense_ord = _OrdinalBasis(problem), DenseOrdinalBasis(problem)
+    _assert_ordinal_state(problem, dense_ord.util, sparse_ord)
+    entering = dense_ord.owner[0]
     for _ in range(100_000):
         row = dense_tab.ratio_row(entering)
         sparse_row, holders = sparse_tab.ratio_row(entering)
@@ -690,19 +682,15 @@ def test_ordinal_steps_off_the_pivot_path_match_the_reference():
     arbitrary basis columns reaches the other states too.  Removing the
     last real column leaves no completion, and both must fail.
     """
-    from nearstable.scarf import _OrdinalBasis, _utility_matrix
+    from nearstable.scarf import _OrdinalBasis
 
     rng = random.Random(5150)
     branches = dict.fromkeys(("walk", "high", "cut", "slack"), 0)
     steps = failed = 0
     for _ in range(150):
         problem = _random_problem(rng, max_rows=6, max_cols=9)
-        n, m = problem.num_rows, problem.num_cols
-        util = _utility_matrix(problem)
-        first = max(range(n, n + m), key=util[0].__getitem__)
-        owner = {0: first, **{i: i for i in range(1, n)}}
-        sparse_ord = _OrdinalBasis(util, problem.row_orders, [first] + list(range(1, n)), dict(owner))
-        dense_ord = DenseOrdinalBasis(problem, [first] + list(range(1, n)), owner)
+        n = problem.num_rows
+        sparse_ord, dense_ord = _OrdinalBasis(problem), DenseOrdinalBasis(problem)
         for _ in range(30):
             columns = sorted(dense_ord.columns)
             # Removing the last real column leaves only slacks, which have no completion.

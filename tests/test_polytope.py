@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -335,7 +336,8 @@ def _brute_vertices(sys_: LinearSystem):
     return vertices
 
 
-def test_random_systems_against_vertex_enumeration():
+def _integer_box_systems():
+    """Seeded integer `<=` rows in the unit box, each with an objective."""
     rng = random.Random(7)
     for _ in range(60):
         n = rng.randint(1, 4)
@@ -345,9 +347,12 @@ def test_random_systems_against_vertex_enumeration():
             if any(c != 0 for c in coeffs):
                 rows.append(LinearRow(sparse(coeffs), "le", rng.randint(1, 3)))
         sys_ = LinearSystem(n, tuple(rows), (F(0),) * n, (F(1),) * n)
-        warm = (F(0),) * n
-        obj = tuple(F(rng.randint(-2, 3)) for _ in range(n))
-        pt = extreme_point(sys_, obj, warm)
+        yield sys_, tuple(F(rng.randint(-2, 3)) for _ in range(n))
+
+
+def test_random_systems_against_vertex_enumeration():
+    for sys_, obj in _integer_box_systems():
+        pt = extreme_point(sys_, obj, (F(0),) * sys_.num_vars)
         assert is_vertex(sys_, pt)
         vertices = _brute_vertices(sys_)
         assert tuple(pt) in vertices
@@ -355,7 +360,8 @@ def test_random_systems_against_vertex_enumeration():
         assert value == max(sum(o * x for o, x in zip(obj, v)) for v in vertices)
 
 
-def test_warm_start_value_never_decreases():
+def _warm_start_systems():
+    """Seeded rational systems through a point x0 in the unit box, each with x0 and an objective."""
     rng = random.Random(11)
     for _ in range(80):
         n = rng.randint(2, 5)
@@ -375,7 +381,11 @@ def test_warm_start_value_never_decreases():
             j = rng.randrange(n)
             fixed[j] = x0[j]
         sys_ = LinearSystem(n, tuple(rows), (F(0),) * n, (F(1),) * n, fixed=fixed)
-        obj = tuple(F(rng.randint(-2, 3)) for _ in range(n))
+        yield sys_, tuple(F(rng.randint(-2, 3)) for _ in range(n)), x0
+
+
+def test_warm_start_value_never_decreases():
+    for sys_, obj, x0 in _warm_start_systems():
         pt = extreme_point(sys_, obj, x0)
         assert is_vertex(sys_, pt)
         assert sum(o * x for o, x in zip(obj, pt)) >= sum(o * x for o, x in zip(obj, x0))
@@ -491,8 +501,8 @@ def test_integer_kernel_against_fraction_evaluation():
     assert steps >= 150 and ties >= 5
 
 
-def test_rational_systems_against_vertex_enumeration():
-    """Rows with rational coefficients and rhs: the optimum is a brute-force vertex of best value."""
+def _rational_box_systems():
+    """Seeded rational `<=` rows in the unit box, each with a rational objective."""
     rng = random.Random(17)
     for _ in range(60):
         n = rng.randint(1, 4)
@@ -502,10 +512,42 @@ def test_rational_systems_against_vertex_enumeration():
             if any(c != 0 for c in coeffs):
                 rows.append(rational_row(coeffs, "le", F(rng.randint(1, 9), rng.randint(2, 6))))
         sys_ = LinearSystem(n, tuple(rows), (F(0),) * n, (F(1),) * n)
-        obj = tuple(F(rng.randint(-2, 3), rng.randint(1, 4)) for _ in range(n))
-        pt = extreme_point(sys_, obj, (F(0),) * n)
+        yield sys_, tuple(F(rng.randint(-2, 3), rng.randint(1, 4)) for _ in range(n))
+
+
+def test_rational_systems_against_vertex_enumeration():
+    """Rows with rational coefficients and rhs: the optimum is a brute-force vertex of best value."""
+    for sys_, obj in _rational_box_systems():
+        pt = extreme_point(sys_, obj, (F(0),) * sys_.num_vars)
         assert is_vertex(sys_, pt)
         vertices = _brute_vertices(sys_)
         assert tuple(pt) in vertices
         value = sum(o * x for o, x in zip(obj, pt))
         assert value == max(sum(o * x for o, x in zip(obj, v)) for v in vertices)
+
+
+# sha256 over the vertices below, recorded before the rational adapter shared
+# the rounding step's reducer: it pins which vertex wins each tie.
+RATIONAL_VERTEX_DIGEST = "390092c1bd0b6d90ac932a284a57a91151a9c9524c400f27eb39e4023d59a01a"
+
+
+def test_rational_vertices_are_pinned():
+    """The exact vertex `extreme_point` returns on every seeded rational system, ties included.
+
+    The objective of a `_random_rational_system` is nonpositive on each
+    variable without an upper bound, so it is bounded on the system.
+    """
+    rng = random.Random(43)
+    cases = []
+    for _ in range(200):
+        sys_, x = _random_rational_system(rng)
+        obj = tuple(-abs(_rational(rng, -2, 2)) if up is None else _rational(rng, -2, 2) for up in sys_.upper)
+        cases += [(sys_, None, x), (sys_, obj, x)]
+    for sys_, obj, x0 in _warm_start_systems():
+        cases += [(sys_, None, x0), (sys_, obj, x0)]
+    for sys_, obj in itertools.chain(_integer_box_systems(), _rational_box_systems()):
+        cases.append((sys_, obj, (F(0),) * sys_.num_vars))
+    digest = hashlib.sha256()
+    for sys_, obj, warm in cases:
+        digest.update(f"{extreme_point(sys_, obj, warm)}\n".encode())
+    assert digest.hexdigest() == RATIONAL_VERTEX_DIGEST

@@ -24,24 +24,24 @@ simplex are each a reading of its output, so they agree with one another
 and with Fraction elimination in the same order.
 
 Systems are given as equality/inequality rows plus per-variable bounds and a
-set of variables fixed to constants.  After the fixed variables are
-substituted out, the constraints form one integer list in Bland order
-(equalities, `<=` rows, lower bounds as `-x_i <= -lo_i`, finite upper
-bounds), and a constraint's index is its tie-break key.  One integer core,
-`_vertex`, walks from a feasible point to a vertex (`_purify`) and then,
-given a linear objective, maximizes it with a Bland-rule active-set simplex
+set of variables fixed to constants.  One reducer, `_constraints`,
+substitutes the fixed variables out and drops each row left constant once
+it holds; the result is one integer list in Bland order (equalities, `<=`
+rows, lower bounds as `-x_i <= -lo_i`, finite upper bounds), and a
+constraint's index is its tie-break key.  One integer core, `_vertex`,
+walks from a feasible point to a vertex (`_purify`) and then, given a
+linear objective, maximizes it with a Bland-rule active-set simplex
 started from the active set that purification's last elimination kept; a
 vertex is where the constraints tight at it have rank equal to the number
-of variables.  `extreme_point` is the one entry to the core.  Given a
-`LinearSystem` and a `Fraction` warm start, it checks them as rationals,
-reduces them, runs the core and returns exact `fractions.Fraction` values,
-deterministically; given an integer system and an integer point, it checks
-them in integers and returns the integer vertex.  `iterative_rounding` is
-the rounding loop both capacity-revision pipelines share: delete one row
-by a pipeline's rule, fix the integral coordinates, and call
-`extreme_point` on the integer system over the fractional coordinates,
-repeating until the vector is integral.  It works in integers throughout; a
-`Fraction` is made only for each step's objective record.
+of variables.  `extreme_point` is the one entry to the core and checks its
+start and its result in integers.  A `LinearSystem` with a `Fraction` warm
+start is reduced with its fixed values scaled once by their lcm, and its
+vertex returned as exact `fractions.Fraction` values, deterministically.
+`iterative_rounding` is the rounding loop both capacity-revision pipelines
+share: delete one row by a pipeline's rule, fix the integral coordinates,
+and call `extreme_point` on the reduced integer system over the fractional
+coordinates, repeating until the vector is integral.  It works in integers
+throughout; a `Fraction` is made only for each step's objective record.
 """
 
 from __future__ import annotations
@@ -210,38 +210,27 @@ class LinearSystem:
     def __post_init__(self):
         if len(self.lower) != self.num_vars or len(self.upper) != self.num_vars:
             raise PreconditionError("lower and upper need one bound per variable")
-        for row in self.rows:
-            if any(not 0 <= j < self.num_vars for j, _ in row.coeffs):
-                raise PreconditionError("row column outside 0..num_vars-1")
-            if row.relation not in ("le", "eq"):
-                raise PreconditionError(f"unknown relation {row.relation!r}")
-            if not _is_int(row.rhs) or not all(_is_int(c) for _, c in row.coeffs):
-                raise PreconditionError("row coefficients and rhs must be ints")
+        _check_rows(self.rows, self.num_vars)
         for j, value in self.fixed.items():
             if not 0 <= j < self.num_vars:
                 raise PreconditionError(f"fixed variable {j} outside 0..num_vars-1")
-            lo, up = self.lower[j], self.upper[j]
-            if value < lo or (up is not None and value > up):
-                raise PreconditionError(f"fixed value for variable {j} violates its bounds")
+            _check_bounds(j, value, self.lower[j], self.upper[j])
 
 
-def is_feasible(sys: LinearSystem, x: Sequence[Fraction]) -> bool:
-    if len(x) != sys.num_vars:
-        return False
-    for j, value in sys.fixed.items():
-        if x[j] != value:
-            return False
-    nums, den = scale(x)
-    for v, lo, up in zip(nums, sys.lower, sys.upper):
-        if v * lo.denominator < lo.numerator * den:
-            return False
-        if up is not None and v * up.denominator > up.numerator * den:
-            return False
-    for row in sys.rows:
-        lhs, rhs = int_dot(row.coeffs, nums), row.rhs * den
-        if lhs > rhs or (row.relation == "eq" and lhs != rhs):
-            return False
-    return True
+def _check_rows(rows: Iterable[LinearRow], num_vars: int) -> None:
+    for row in rows:
+        if any(not 0 <= j < num_vars for j, _ in row.coeffs):
+            raise PreconditionError("row column outside 0..num_vars-1")
+        if row.relation not in ("le", "eq"):
+            raise PreconditionError(f"unknown relation {row.relation!r}")
+        if not _is_int(row.rhs) or not all(_is_int(c) for _, c in row.coeffs):
+            raise PreconditionError("row coefficients and rhs must be ints")
+
+
+def _check_bounds(j: int, value, lower, upper) -> None:
+    """The value of fixed variable j against its bounds (no upper bound when None)."""
+    if value < lower or (upper is not None and value > upper):
+        raise PreconditionError(f"fixed value for variable {j} violates its bounds")
 
 
 class _Constraints:
@@ -298,42 +287,35 @@ class _Constraints:
         return False
 
 
-class _Reduced(_Constraints):
-    """A `LinearSystem` restricted to its unfixed variables.
+def _constraints(
+    rows: Sequence[LinearRow], free: list[int], value: Sequence[int], den: int, lower, upper
+) -> _Constraints:
+    """The rows and the bounds `lower[j] <= x[j] <= upper[j]` over the columns `free`.
 
-    Each constraint is a positive integer multiple of its rational one: a
-    row is scaled by the lcm of the fixed values, whose shift moves into
-    the rhs, and a bound by its own denominator.
+    `free` is in increasing order and every other column j is fixed to
+    `value[j] / den`.  Each row is multiplied by `den`, restricted to
+    `free`, and its fixed part moves into the rhs; a row with no column in
+    `free` is checked as a constant and left out, since it never enters an
+    active set.  Each bound is multiplied by its own denominator, and an
+    upper bound of None gives no row.
     """
-
-    def __init__(self, sys: LinearSystem):
-        self.sys = sys
-        self.free = [j for j in range(sys.num_vars) if j not in sys.fixed]
-        pos = {j: i for i, j in enumerate(self.free)}
-        values, den = scale(list(sys.fixed.values()))
-        fixed = dict(zip(sys.fixed, values))
-        eq, le = [], []
-        for row in sys.rows:
-            reduced = tuple((pos[j], den * c) for j, c in row.coeffs if j in pos)
-            shift = sum(c * fixed[j] for j, c in row.coeffs if j not in pos)
-            (eq if row.relation == "eq" else le).append((reduced, den * row.rhs - shift))
-        bounds = [(sys.lower[j], sys.upper[j]) for j in self.free]
-        lower = [(((i, -lo.denominator),), -lo.numerator) for i, (lo, _) in enumerate(bounds)]
-        upper = [(((i, up.denominator),), up.numerator) for i, (_, up) in enumerate(bounds) if up is not None]
-        super().__init__(len(self.free), len(eq), eq + le + lower + upper, len(sys.rows))
-
-    def full_point(self, point: Point) -> tuple[Fraction, ...]:
-        nums, den = point
-        out = [ZERO] * self.sys.num_vars
-        for j, value in self.sys.fixed.items():
-            out[j] = value
-        for j, v in zip(self.free, nums):
-            out[j] = Fraction(v, den)
-        return tuple(out)
-
-    def reduce(self, vector: Sequence[Fraction]) -> Point:
-        """A point or objective restricted to the unfixed variables, scaled."""
-        return scale([vector[j] for j in self.free])
+    position = {j: i for i, j in enumerate(free)}.get
+    eq, le = [], []
+    for row in rows:
+        kept, rhs = [], den * row.rhs
+        for j, c in row.coeffs:
+            i = position(j)
+            if i is None:
+                rhs -= c * value[j]
+            else:
+                kept.append((i, den * c))
+        if kept:
+            (eq if row.relation == "eq" else le).append((tuple(kept), rhs))
+        elif rhs < 0 or (rhs and row.relation == "eq"):
+            raise PreconditionError("warm start point is not feasible for the system")
+    low = [(((i, -lower[j].denominator),), -lower[j].numerator) for i, j in enumerate(free)]
+    up = [(((i, upper[j].denominator),), upper[j].numerator) for i, j in enumerate(free) if upper[j] is not None]
+    return _Constraints(len(free), len(eq), eq + le + low + up, len(rows))
 
 
 def _max_step(red: _Constraints, point: Point, d: Sequence[int], skip) -> tuple[Fraction | None, int | None]:
@@ -453,64 +435,40 @@ def extreme_point(
     """A vertex of the system, objective-maximizing when one is given.
 
     `sys` is a `LinearSystem` with a `Fraction` objective (or None) and
-    warm start, checked as rationals, and the result is a tuple of
-    `Fraction`s; or it is the integer system of a rounding step (a
-    `_Constraints`) with an int objective and a `Point` warm start, checked
-    in integers, and the result is a `Point`.  The returned point always
-    satisfies every row exactly and has tight-row rank equal to the number
-    of unfixed variables; its objective value is never below the warm
-    start's.
+    warm start, written as integers by `_constraints` on entry, and the
+    result is a tuple of `Fraction`s; or it is the integer system of a
+    rounding step (a `_Constraints`) with an int objective and a `Point`
+    warm start, and the result is a `Point`.  The warm start and the result
+    are checked in integers.  The returned point always satisfies every row
+    exactly and has tight-row rank equal to the number of unfixed
+    variables; its objective value is never below the warm start's.
     """
-    num_vars = sys.n if isinstance(sys, _Constraints) else sys.num_vars
+    rational = isinstance(sys, LinearSystem)
+    num_vars = sys.num_vars if rational else sys.n
     if objective is not None and len(objective) != num_vars:
         raise PreconditionError(f"objective has {len(objective)} entries for {num_vars} variables")
-    if isinstance(sys, _Constraints):
-        slacks = sys.slacks(warm)
-        if not sys.holds(slacks):
+    red = sys
+    if rational:
+        if len(warm) != num_vars or any(warm[j] != v for j, v in sys.fixed.items()):
             raise PreconditionError("warm start point is not feasible for the system")
-        point = _vertex(sys, warm, slacks, objective)
-        if not sys.holds(sys.slacks(point)):
-            raise InternalError("pivoting left the feasible region")
-        return point
-    if not is_feasible(sys, warm):
+        free = [j for j in range(num_vars) if j not in sys.fixed]
+        value, den = scale([sys.fixed.get(j, ZERO) for j in range(num_vars)])
+        red = _constraints(sys.rows, free, value, den, sys.lower, sys.upper)
+        warm = scale([warm[j] for j in free])
+        if objective is not None:
+            objective = scale([objective[j] for j in free])[0]
+    slacks = red.slacks(warm)
+    if not red.holds(slacks):
         raise PreconditionError("warm start point is not feasible for the system")
-    red = _Reduced(sys)
-    point = red.reduce(warm)
-    if red.n == 0:
-        return red.full_point(point)
-    obj = red.reduce(objective)[0] if objective is not None else [0] * red.n
-    result = red.full_point(_vertex(red, point, red.slacks(point), obj))
-    if not is_feasible(sys, result):
+    point = _vertex(red, warm, slacks, objective if objective is not None else [0] * red.n)
+    if not red.holds(red.slacks(point)):
         raise InternalError("pivoting left the feasible region")
-    return result
-
-
-def _step_constraints(rows, residual: dict, active, free, values, upper) -> _Constraints:
-    """The imposed rows and the bounds 0 <= x <= upper over the coordinates `free`.
-
-    `free` is in increasing order and `values` holds the integral value of
-    every other coordinate.  `residual[i]` is row i restricted to the
-    coordinates free at its last update, with its rhs shifted by the fixed
-    part; each imposed row is brought up to date here.  A row with no
-    column in `free` is checked as a constant and left out, since it never
-    enters an active set.
-    """
-    pos = {j: i for i, j in enumerate(free)}
-    eq, le = [], []
-    for index in active:
-        coeffs, rhs = residual[index]
-        kept = [(j, c) for j, c in coeffs if j in pos]
-        if len(kept) != len(coeffs):
-            rhs -= sum([c * values[j] for j, c in coeffs if j not in pos])
-            residual[index] = kept, rhs
-        relation = rows[index].relation
-        if kept:
-            (eq if relation == "eq" else le).append((tuple([(pos[j], c) for j, c in kept]), rhs))
-        elif rhs < 0 or (rhs and relation == "eq"):
-            raise PreconditionError("warm start point is not feasible for the system")
-    lower = [(((i, -1),), 0) for i in range(len(free))]
-    bound = [] if upper is None else [(((i, upper.denominator),), upper.numerator) for i in range(len(free))]
-    return _Constraints(len(free), len(eq), eq + le + lower + bound, len(active))
+    if not rational:
+        return point
+    nums, den = point
+    result = dict(sys.fixed)
+    result.update((j, Fraction(v, den)) for j, v in zip(free, nums))
+    return tuple(result[j] for j in range(num_vars))
 
 
 def iterative_rounding(
@@ -530,15 +488,14 @@ def iterative_rounding(
     fractional coordinates, the indices of the rows still imposed, in
     order) for (row index, deleted id, kind, trace label), or None when no
     row may go.  The row is dropped and `extreme_point` solves the integer
-    LP over the fractional coordinates only (`_step_constraints`): from the
-    current point to a vertex, maximizing `objective` if given, which must
-    never decrease.  Its constraints are those `_Reduced` would reduce the
-    full system to, in the same order, less the rows with no fractional
-    column, so the pivot path and every vertex are the same.  The rows are
-    checked once, on the first step; each value is checked against its
-    bounds when it is fixed; the step system holds before and after each
-    step; the integral result satisfies every row still imposed and every
-    bound.  Returns the integral vector and one record per step.
+    LP that `_constraints` reduces the imposed rows to over the fractional
+    coordinates, as it would a `LinearSystem` with the integral ones fixed,
+    from the current point to a vertex, maximizing `objective` if given,
+    which must never decrease.  The rows are checked once, on the first
+    step; each value is checked against its bounds when it is fixed; the
+    step system holds before and after each step; the integral result
+    satisfies every row still imposed and every bound.  Returns the
+    integral vector and one record per step.
     """
     n = len(start)
     nums, den = scale(start)
@@ -546,7 +503,7 @@ def iterative_rounding(
     newly = [j for j in range(n) if not nums[j] % den]  # integral, not yet fixed
     values = [0] * n  # the value of each fixed coordinate
     active = list(range(len(rows)))
-    residual = None
+    bounds = (0,) * n, (upper,) * n
     steps = []
     gain, gain_den = scale(objective) if objective is not None else ([0] * n, 1)
     value = sum(map(mul, gain, nums)), den  # the objective at the point, over gain_den
@@ -560,14 +517,12 @@ def iterative_rounding(
             raise InternalError("no deletable row although the vector is fractional")
         index, deleted, kind, label = choice
         active.remove(index)
-        if residual is None:
-            LinearSystem(num_vars=n, rows=tuple(rows), lower=(ZERO,) * n, upper=(upper,) * n)  # checks the rows
-            residual = {i: (row.coeffs, row.rhs) for i, row in enumerate(rows)}
+        if not steps:
+            _check_rows(rows, n)
         for j in newly:
             values[j] = nums[j] // den
-            if values[j] < 0 or (upper is not None and values[j] > upper):
-                raise PreconditionError(f"fixed value for variable {j} violates its bounds")
-        red = _step_constraints(rows, residual, active, free, values, upper)
+            _check_bounds(j, values[j], 0, upper)
+        red = _constraints([rows[i] for i in active], free, values, 1, *bounds)
         moved, den = extreme_point(red, [gain[j] for j in free], ([nums[j] for j in free], den))
         nums = [v * den for v in values]
         for j, v in zip(free, moved):
@@ -587,7 +542,7 @@ def iterative_rounding(
         if trace is not None:
             trace(line)
     result = [v // den for v in nums]
-    if residual is not None:
+    if steps:
         for i in active:
             lhs, rhs = int_dot(rows[i].coeffs, result), rows[i].rhs
             if lhs > rhs or (rows[i].relation == "eq" and lhs != rhs):

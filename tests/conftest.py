@@ -23,10 +23,9 @@ from nearstable.polytope import (
     LinearRow,
     LinearSystem,
     _echelon,
+    _constraints,
     _null_vector,
-    _Reduced,
     _solution,
-    is_feasible,
     scale,
     sparse,
 )
@@ -59,10 +58,30 @@ def rational_row(dense, relation: str, rhs) -> LinearRow:
     return LinearRow(sparse(nums[1:]), relation, nums[0])
 
 
+def integer_system(sys: LinearSystem):
+    """The integer constraints `extreme_point` solves for `sys`, and the unfixed variables they are over."""
+    free = [j for j in range(sys.num_vars) if j not in sys.fixed]
+    value, den = scale([sys.fixed.get(j, ZERO) for j in range(sys.num_vars)])
+    return _constraints(sys.rows, free, value, den, sys.lower, sys.upper), free
+
+
+def is_feasible(sys: LinearSystem, x) -> bool:
+    """x satisfies the fixed values, the bounds and every row, evaluated in Fraction arithmetic."""
+    if any(x[j] != v for j, v in sys.fixed.items()):
+        return False
+    if any(x[j] < sys.lower[j] or (sys.upper[j] is not None and x[j] > sys.upper[j]) for j in range(sys.num_vars)):
+        return False
+    for r in sys.rows:
+        lhs = sum((c * x[j] for j, c in r.coeffs), ZERO)
+        if lhs > r.rhs or (r.relation == "eq" and lhs != r.rhs):
+            return False
+    return True
+
+
 def rank_of_tight_rows(sys: LinearSystem, x) -> int:
     """Exact rank of the constraint rows (bounds included) tight at x, fixed variables substituted out."""
-    red = _Reduced(sys)
-    return len(_echelon(red.dense(k) for k in red.tight(red.slacks(red.reduce(x)))))
+    red, free = integer_system(sys)
+    return len(_echelon(red.dense(k) for k in red.tight(red.slacks(scale([x[j] for j in free])))))
 
 
 def is_vertex(sys: LinearSystem, x) -> bool:

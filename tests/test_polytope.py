@@ -9,6 +9,8 @@ import pytest
 from conftest import (
     cyclic_sets_cacq,
     exact_rank,
+    integer_system,
+    is_feasible,
     is_vertex,
     nullspace_vector,
     odd_cycles_instance,
@@ -25,10 +27,9 @@ from nearstable.polytope import (
     LinearSystem,
     _advance,
     _max_step,
-    _Reduced,
     extreme_point,
-    is_feasible,
     iterative_rounding,
+    scale,
     sparse,
 )
 from nearstable.shm import solve_shm
@@ -172,12 +173,8 @@ def test_rounding_rejects_a_step_that_leaves_the_feasible_region(monkeypatch):
 
 def test_rounding_checks_its_result_against_the_imposed_rows(monkeypatch):
     """A step system that lost its rows is caught by the end check on the full rows."""
-    real = polytope._step_constraints
-
-    def without_rows(rows, residual, active, *rest):
-        return real(rows, residual, [], *rest)
-
-    monkeypatch.setattr(polytope, "_step_constraints", without_rows)
+    real = polytope._constraints
+    monkeypatch.setattr(polytope, "_constraints", lambda rows, *rest: real([], *rest))
     rows = [LinearRow(sparse((1, 1, 0)), "eq", 1), LinearRow(sparse((1, 1, 1)), "le", 2)]
     with pytest.raises(InternalError, match="rounded vector violates an imposed row"):
         iterative_rounding([F(1, 2)] * 3, rows, lambda point, fractional, active: (1, "r", "row", "row r"), upper=1)
@@ -228,8 +225,13 @@ def test_objective_parallel_to_an_equality_needs_no_simplex(monkeypatch):
 
 
 def test_infeasible_warm_start_rejected():
-    with pytest.raises(PreconditionError):
-        extreme_point(box(1), None, (F(2),))
+    """A warm start outside a bound, of the wrong length or off a fixed value; fixed values breaking a constant row."""
+    constant = LinearSystem(2, (LinearRow(sparse((1, 0)), "le", 0),), (F(0),) * 2, (F(1),) * 2, fixed={0: F(1, 2)})
+    fixed = LinearSystem(2, (), (F(0),) * 2, (F(1),) * 2, fixed={0: F(1, 2)})
+    cases = ((box(1), (F(2),)), (box(1), (F(0),) * 2), (fixed, (F(0), F(0))), (constant, (F(1, 2), F(0))))
+    for sys_, warm in cases:
+        with pytest.raises(PreconditionError, match="warm start point is not feasible"):
+            extreme_point(sys_, None, warm)
 
 
 def test_no_upper_bound_variables():
@@ -404,7 +406,7 @@ def _fraction_constraints(sys_: LinearSystem):
 
     Dense rows over the unfixed variables with the fixed values moved into
     the rhs: equalities, `<=` rows, lower bounds as -x_i <= -lo_i, finite
-    upper bounds.
+    upper bounds.  A row with no unfixed column is a constant and is left out.
     """
     free = [j for j in range(sys_.num_vars) if j not in sys_.fixed]
 
@@ -413,24 +415,25 @@ def _fraction_constraints(sys_: LinearSystem):
         shift = sum((c * sys_.fixed[j] for j, c in coeffs.items() if j in sys_.fixed), F(0))
         return [coeffs.get(j, F(0)) for j in free], row.rhs - shift
 
-    eq = [reduced(r) for r in sys_.rows if r.relation == "eq"]
-    le = [reduced(r) for r in sys_.rows if r.relation == "le"]
+    eq = [reduced(r) for r in sys_.rows if r.relation == "eq" and any(j not in sys_.fixed for j, _ in r.coeffs)]
+    le = [reduced(r) for r in sys_.rows if r.relation == "le" and any(j not in sys_.fixed for j, _ in r.coeffs)]
     unit = [[F(int(i == k)) for i in range(len(free))] for k in range(len(free))]
     lower = [([-v for v in unit[i]], -sys_.lower[j]) for i, j in enumerate(free)]
     upper = [(unit[i], sys_.upper[j]) for i, j in enumerate(free) if sys_.upper[j] is not None]
     return free, len(eq), eq + le + lower + upper
 
 
-def _fraction_feasible(sys_: LinearSystem, x):
-    if any(x[j] != v for j, v in sys_.fixed.items()):
-        return False
-    if any(x[j] < sys_.lower[j] or (sys_.upper[j] is not None and x[j] > sys_.upper[j]) for j in range(sys_.num_vars)):
-        return False
-    for r in sys_.rows:
-        lhs = sum((c * x[j] for j, c in r.coeffs), F(0))
-        if lhs > r.rhs or (r.relation == "eq" and lhs != r.rhs):
-            return False
-    return True
+def _with_fixed_rows(rng, sys_: LinearSystem, x):
+    """The system with rows over its fixed columns only, each holding at x, at random positions."""
+    rows = list(sys_.rows)
+    fixed = sorted(sys_.fixed)
+    for _ in range(rng.randint(0, 2) if fixed else 0):
+        coeffs = [_rational(rng, -2, 2) if j in fixed else F(0) for j in range(sys_.num_vars)]
+        lhs = sum((c * v for c, v in zip(coeffs, x)), F(0))
+        if any(coeffs):
+            relation, rhs = ("eq", lhs) if rng.random() < 0.3 else ("le", lhs + rng.choice([0, 1]))
+            rows.insert(rng.randint(0, len(rows)), rational_row(coeffs, relation, rhs))
+    return LinearSystem(sys_.num_vars, tuple(rows), sys_.lower, sys_.upper, fixed=sys_.fixed)
 
 
 def _random_rational_system(rng):
@@ -457,21 +460,29 @@ def _random_rational_system(rng):
 
 
 def test_integer_kernel_against_fraction_evaluation():
-    """Feasibility, tightness and the step test equal Fraction evaluation on rational systems."""
+    """`_constraints` rows, feasibility, tightness and the step test equal Fraction evaluation on rational systems."""
     rng = random.Random(31)
-    steps = ties = 0
+    steps = ties = dropped = 0
     for trial in range(400):
         sys_, x = _random_rational_system(rng)
-        assert is_feasible(sys_, x) and _fraction_feasible(sys_, x), trial
+        sys_ = _with_fixed_rows(rng, sys_, x)
+        assert is_feasible(sys_, x), trial
         moved = [v + rng.choice([0, 0, F(1, 3), F(-1, 4), F(rng.randint(-6, 6), rng.randint(2, 6))]) for v in x]
-        assert is_feasible(sys_, moved) == _fraction_feasible(sys_, moved), (trial, moved)
+        moved = [sys_.fixed.get(j, v) for j, v in enumerate(moved)]
 
-        red = _Reduced(sys_)
-        free, num_eq, reference = _fraction_constraints(sys_)
-        assert red.free == free and red.num_eq == num_eq and len(red.constraints) == len(reference)
+        red, free = integer_system(sys_)
+        reference_free, num_eq, reference = _fraction_constraints(sys_)
+        assert free == reference_free and red.num_eq == num_eq and len(red.constraints) == len(reference)
+        dropped += any(all(j in sys_.fixed for j, _ in r.coeffs) for r in sys_.rows)
+        for k, (row, rhs) in enumerate(reference):
+            integer = [*red.dense(k), red.constraints[k][1]]
+            lead = next(i for i, v in enumerate(row) if v)
+            factor = F(integer[lead]) / row[lead]
+            assert factor > 0 and integer == [factor * v for v in [*row, rhs]], (trial, k)
         xr = [x[j] for j in free]
-        point = red.reduce(x)
-        assert [F(v, point[1]) for v in point[0]] == xr
+        point = scale(xr)
+        assert red.holds(red.slacks(point)), trial
+        assert red.holds(red.slacks(scale([moved[j] for j in free]))) == is_feasible(sys_, moved), (trial, moved)
 
         def slack(k, at):
             row, rhs = reference[k]
@@ -498,7 +509,7 @@ def test_integer_kernel_against_fraction_evaluation():
             nums, den = _advance(point, best_t, d)
             assert [F(v, den) for v in nums] == [v + best_t * dv for v, dv in zip(xr, d)]
             assert den == lcm(1, *(F(v, den).denominator for v in nums))
-    assert steps >= 150 and ties >= 5
+    assert steps >= 150 and ties >= 5 and dropped >= 50
 
 
 def _rational_box_systems():

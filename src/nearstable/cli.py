@@ -159,6 +159,25 @@ def _cmd_round(args) -> int:
     return EXIT_PASS
 
 
+def _revision_bounds(original: dict, revised: dict, kind: str, allowed: int, signed_sum: bool) -> dict:
+    """The paper's revision bounds, recomputed from the instance's and the solution's capacities.
+
+    Every entry may move by at most `allowed`; with `signed_sum` the total
+    change must also lie in [0, allowed].  `violations` names each entry
+    (as `kind`) or the sum that breaks a bound.
+    """
+    deviation = {k: revised[k] - q for k, q in original.items()}
+    bounds = {"max_allowed": allowed, "max_deviation": max(map(abs, deviation.values()), default=0)}
+    violations = [{kind: k, "deviation": d} for k, d in deviation.items() if abs(d) > allowed]
+    if signed_sum:
+        total = sum(deviation.values())
+        bounds.update(sum_allowed=allowed, sum_deviation=total)
+        if not 0 <= total <= allowed:
+            violations.append({"sum": total})
+    bounds["violations"] = violations
+    return bounds
+
+
 def _cmd_verify(args) -> int:
     inst_text = _read(args.instance)
     parsed = ff.parse_document(inst_text)
@@ -176,6 +195,7 @@ def _cmd_verify(args) -> int:
             "capacity_violations": list(report.capacity_violations),
         }
         ok = report.ok
+        bounds = _revision_bounds(parsed.capacities, capacities, "vertex", parsed.max_edge_size - 1, signed_sum=True)
     elif isinstance(parsed, CacqInstance):
         quotas, matched = ff.parse_cacq_solution(sol_doc)
         normalized = normalize_cacq(parsed)
@@ -186,6 +206,8 @@ def _cmd_verify(args) -> int:
             "student_violations": list(report.student_violations),
         }
         ok = report.ok
+        original = {cs.id: cs.quota for cs in normalized.sets}
+        bounds = _revision_bounds(original, quotas, "set", 2 * normalized.max_memberships - 1, signed_sum=False)
     elif isinstance(parsed, ff.SmfDocument):
         capacity, ccaps, flow = ff.parse_smf_solution(sol_doc, parsed.instance)
         report = verify_flow(parsed.instance, flow, capacity=capacity, commodity_capacity=ccaps)
@@ -198,13 +220,18 @@ def _cmd_verify(args) -> int:
             "capacity_violations": list(report.capacity_violations),
         }
         ok = report.ok
+        bounds = None
     else:
         raise InputError("unsupported instance kind for verify")
     elapsed = time.perf_counter() - start
+    certificate = {"verifier": detail}
+    if bounds is not None:
+        certificate["bounds"] = bounds
+        ok = ok and not bounds["violations"]
     payload = {
         "input_digest": _digest(inst_text),
         "verdict": "pass" if ok else "fail",
-        "certificate": {"verifier": detail},
+        "certificate": certificate,
     }
     _emit(args, payload, elapsed)
     return EXIT_PASS if ok else EXIT_VERIFIED_FAIL

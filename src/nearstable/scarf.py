@@ -30,12 +30,13 @@ Both halves work over nonzeros only.  A tableau row keeps its nonzero
 integers in a dict, and a pivot updates just the rows with a nonzero in
 the entering column (a pivot that changes the common denominator also
 rescales the other rows' stored nonzeros).  An ordinal step reads only
-the rows and columns it touches.  Every row's utilities copy one template
-(real column j at m+1+j, slack k at 2m+1+k) with its own slack at 0 and
-its ranked columns at 1..r, so a row's next basis minimum is a walk
-upward from its old one.  A candidate column is tested against its
-support (the rows ranking it) and against the largest minimum among the
-high rows, those whose minimum is held by a column they do not rank.
+the rows and columns it touches.  A row stores utilities only for the
+columns it ranks (1..r); its own slack is 0, and any other column has one
+closed-form value in every row that does not rank it (real column j at
+m+1+j, slack k at 2m+1+k), so a row's next basis minimum is a walk upward
+from its old one.  A candidate column is tested against its support (the
+rows ranking it) and against the largest minimum among the high rows,
+those whose minimum is held by a column they do not rank.
 The integers, and so every ratio row, pivot and vertex, are those of the
 dense tableau, and every ordinal step is the dense rule's.
 """
@@ -221,35 +222,6 @@ def certify_extreme(problem: ScarfProblem, x: Sequence[Fraction]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _template(n: int, m: int) -> list[int]:
-    """The utilities every row starts from: slack k gets 2m+1+k and real column j gets m+1+j."""
-    return [*range(2 * m + 1, 2 * m + 1 + n), *range(m + 1, 2 * m + 1)]
-
-
-def _utility_matrix(problem: ScarfProblem) -> list[list[int]]:
-    """Standard-form utilities over slack columns 0..n-1 and real columns n..n+m-1.
-
-    Every row is a copy of `_template`, with the row's own slack set to 0
-    (the unique minimum) and its ranked columns to 1..r (best highest) in
-    place.  So within a row the ranked columns lie below the unranked real
-    columns, which follow their index, and the foreign slacks lie above
-    everything.  All entries in a row are distinct, which makes every
-    ordinal step unambiguous; the engine compares entries only within one
-    row.
-    """
-    n, m = problem.num_rows, problem.num_cols
-    template = _template(n, m)
-    util = []
-    for i, order in enumerate(problem.row_orders):
-        row = template.copy()
-        row[i] = 0
-        r = len(order)
-        for p, j in enumerate(order):
-            row[n + j] = r - p
-        util.append(row)
-    return util
-
-
 class _Tableau:
     """Fraction-free integer simplex tableau for [I | Q] x = d, stored by nonzeros.
 
@@ -359,59 +331,83 @@ class _Tableau:
 class _OrdinalBasis:
     """Ordinal basis with the row -> minimum-holding-column bijection.
 
+    Utilities are over slack columns 0..n-1 and real columns n..n+m-1.  In
+    row i its own slack is 0 (the unique minimum) and its ranked columns
+    are r-p for position p (best highest, 1..r); every other column takes
+    one closed-form value in every row that does not rank it: m+1+j for
+    real column n+j and 2m+1+k for slack k.  So within a row the ranked
+    columns lie below the unranked real columns, which follow their index,
+    and the foreign slacks lie above everything.  All entries in a row are
+    distinct, which makes every ordinal step unambiguous, and the engine
+    compares entries only within one row.  Only the ranked utilities are
+    stored: each row's ranked columns (`ranked`) and each column's support
+    (the rows ranking it, with their utility for it).
+
     The basis starts from row 0's best real column and the other rows'
-    slacks, over the problem's `_utility_matrix`.  The per-row minima over
-    the basis, the inverse of `owner` and the high rows are kept up to
-    date by `replace`, which changes exactly two minima per step.  A row
-    is high when its minimum lies above m, so a column the row does not
-    rank holds it.
+    slacks.  The per-row minima over the basis, the inverse of `owner` and
+    the high rows are kept up to date by `replace`, which changes exactly
+    two minima per step.  A row is high when its minimum lies above m, so
+    a column the row does not rank holds it.
 
     A row blocks the columns at or below its minimum.  A row whose minimum
     is 0 holds its own slack and blocks nothing else; a foreign slack k is
     blocked by row k.  Any other column c is blocked by a row other than
-    home exactly when a row of c's support (the rows ranking c, kept with
-    their utility for c) has c at or below its minimum, or c's template
-    value lies below `top`, the largest minimum among the high rows other
-    than home: a row not ranking c holds it at the template value, which
-    only a high row's minimum can exceed.
+    home exactly when a row of c's support has c at or below its minimum,
+    or c's closed-form value lies below `top`, the largest minimum among
+    the high rows other than home: a row not ranking c holds it at that
+    value, which only a high row's minimum can exceed.
     """
 
     def __init__(self, problem: ScarfProblem):
         n, m = problem.num_rows, problem.num_cols
         self.n, self.m = n, m
-        self.util = util = _utility_matrix(problem)
-        self.template = _template(n, m)
         self.ranked = [[n + j for j in order] for order in problem.row_orders]  # best first
         self.support: list[list[tuple[int, int]]] = [[] for _ in range(n + m)]
         for i, ranked in enumerate(self.ranked):
-            for c in ranked:
-                self.support[c].append((i, util[i][c]))
-        # Every foreign slack lies above every real column, so row 0's
-        # minimum is its best real column and every other row's its slack.
-        first = max(range(n, n + m), key=util[0].__getitem__)
+            for p, c in enumerate(ranked):
+                self.support[c].append((i, len(ranked) - p))
+        # Row 0's best real column is its highest-index unranked one, else
+        # its best ranked one.  Every foreign slack lies above every real
+        # column, so that column holds row 0's minimum and every other row
+        # holds its own slack.
+        ranked0 = set(self.ranked[0])
+        first = next((c for c in reversed(range(n, n + m)) if c not in ranked0), None)
+        if first is None:
+            first = self.ranked[0][0]
         self.owner = {0: first, **{i: i for i in range(1, n)}}  # row -> column holding that row's minimum
         self.row_of = {col: row for row, col in self.owner.items()}
         self.columns = set(self.row_of)
-        self.mins = [util[0][first]] + [0] * (n - 1)
+        self.mins = [self.utility(0, first)] + [0] * (n - 1)
         self.high = {i for i, low in enumerate(self.mins) if low > m}
 
-    def _lowest(self, row: int, above: int) -> int:
-        """The basis column holding `row`'s minimum, when no basis column lies at or below `above` >= 0 in it.
+    def utility(self, row: int, col: int) -> int:
+        """`row`'s utility for column `col`, from its support or the closed form."""
+        if col == row:
+            return 0
+        for i, u in self.support[col]:
+            if i == row:
+                return u
+        return self.m + 1 + col - self.n if col >= self.n else 2 * self.m + 1 + col
+
+    def _lowest(self, row: int, above: int) -> tuple[int, int]:
+        """The basis column holding `row`'s minimum, and its utility there, when no basis column lies at or below `above` >= 0 in it.
 
         Walks the row upward from `above`, past its own slack: ranked
-        columns worst first, then unranked real columns by index.  With
-        neither in the basis, only foreign slacks remain, and the one of
-        lowest index is lowest (the step then has no completion).
+        columns worst first, then real columns by index, which are all
+        unranked once no ranked column is in the basis.  With neither in
+        the basis, only foreign slacks remain.  The lowest, k, would double
+        row k, whose minimum is its own slack at 0, which no column can
+        undercut, so the step has no completion.
         """
         n, m, columns, ranked = self.n, self.m, self.columns, self.ranked[row]
-        for c in reversed(ranked[: max(len(ranked) - above, 0)]):
-            if c in columns:
-                return c
-        util = self.util[row]
+        r = len(ranked)
+        for p in range(r - above - 1, -1, -1):
+            if ranked[p] in columns:
+                return ranked[p], r - p
         for c in range(n + max(above - m, 0), n + m):
-            if util[c] > m and c in columns:
-                return c
-        return min(columns)
+            if c in columns:
+                return c, m + 1 + c - n
+        raise InternalError("ordinal replacement step has no valid completion")
 
     def _set_min(self, row: int, low: int):
         self.mins[row] = low
@@ -429,43 +425,45 @@ class _OrdinalBasis:
         the current minima in every other row.  Only the orphaned row's and
         that home row's minima change.
         """
-        util, mins, columns, support = self.util, self.mins, self.columns, self.support
+        mins, columns, support = self.mins, self.columns, self.support
         n, m = self.n, self.m
         orphan = self.row_of.pop(out_col)
         columns.remove(out_col)
-        doubled = self._lowest(orphan, mins[orphan])
-        self._set_min(orphan, util[orphan][doubled])
+        doubled, low = self._lowest(orphan, mins[orphan])
+        self._set_min(orphan, low)
         home = self.row_of[doubled]
-        home_util, home_min = util[home], mins[home]
+        home_min = mins[home]
         top = max((mins[i] for i in self.high if i != home), default=0)
         entering = None
-        # Home's unranked real columns, best first.  Their template value
-        # m+1+j falls with j, so the scan ends where it drops below top.
+        # Home's unranked real columns, best first: a column home ranks
+        # meets home in its support.  Their value m+1+j falls with j, so
+        # the scan ends where it drops below top.
         for c in range(n + m - 1, n + max(top - m - 1, 0) - 1, -1):
-            if home_util[c] <= m or c in columns:
+            if c in columns:
                 continue
             for i, u in support[c]:
-                if u <= mins[i]:
+                if i == home or u <= mins[i]:
                     break
             else:
-                entering = c
+                entering, value = c, m + 1 + c - n
                 break
         else:
-            # Then home's ranked columns best first, and home's own slack.
-            template = self.template
-            for c in (*self.ranked[home], home):
-                if c in columns or template[c] < top:
+            # Then home's ranked columns best first, and home's own slack
+            # (utility 0, one past the last ranked position).
+            ranked = self.ranked[home]
+            for p, c in enumerate((*ranked, home)):
+                if c in columns or (m + 1 + c - n if c >= n else 2 * m + 1 + c) < top:
                     continue
                 for i, u in support[c]:
                     if u <= mins[i] and i != home:
                         break
                 else:
-                    entering = c
+                    entering, value = c, len(ranked) - p
                     break
-        if entering is None or home_util[entering] >= home_min:
+        if entering is None or value >= home_min:
             raise InternalError("ordinal replacement step has no valid completion")
         columns.add(entering)
-        self._set_min(home, home_util[entering])
+        self._set_min(home, value)
         self.owner[orphan] = doubled
         self.owner[home] = entering
         self.row_of[doubled] = orphan

@@ -75,14 +75,15 @@ def test_verify_rejects_blocking_solution(tmp_path, capsys):
 SOLVE = {"shm": ("solve", "shm"), "cacq": ("solve", "cacq"), "smf": ("round", "smf")}
 
 
-def _verify_after_edit(tmp_path, capsys, family, gen_args, edit):
-    """Generate and solve an instance, edit the instance file, then verify the edited file against the solution."""
+def _verify_after_edit(tmp_path, capsys, family, gen_args, edit, edited="inst.json"):
+    """Generate and solve an instance, edit the instance (or the `edited` solution) file, then verify the pair."""
     inst, sol = tmp_path / "inst.json", tmp_path / "sol.json"
     assert run(capsys, "gen", family, *gen_args, "-o", str(inst))[0] == 0
     assert run(capsys, *SOLVE[family], str(inst), "-o", str(sol))[0] == 0
-    doc = json.loads(inst.read_text())
+    path = tmp_path / edited
+    doc = json.loads(path.read_text())
     edit(doc)
-    inst.write_text(ff.canonical_dumps(doc), encoding="utf-8")
+    path.write_text(ff.canonical_dumps(doc), encoding="utf-8")
     return run(capsys, "verify", str(inst), str(sol))
 
 
@@ -112,6 +113,46 @@ def test_verify_rejects_invalid_smf_instance(tmp_path, capsys):
     code, out, err = _verify_after_edit(tmp_path, capsys, "smf", ("--seed", "3", "--commodities", "2"), edit)
     assert code == 3 and out == ""
     assert err.startswith("input error: ") and "dangling-reference: unknown head 'ghost'" in err
+
+
+def test_verify_rejects_shm_capacities_outside_the_bounds(tmp_path, capsys):
+    """Zero capacities and an empty matching are stable, but the total revision is negative."""
+
+    def edit(doc):
+        doc["capacities"] = dict.fromkeys(doc["capacities"], 0)
+        doc["matching"] = []
+
+    code, out, _ = _verify_after_edit(tmp_path, capsys, "shm", ("--seed", "4"), edit, edited="sol.json")
+    payload = json.loads(out)
+    assert code == 2 and payload["verdict"] == "fail"
+    assert payload["certificate"]["verifier"] == {"blocking_edges": [], "capacity_violations": []}
+    # L = 3 and the capacities sum to 5, none above L - 1.
+    assert payload["certificate"]["bounds"] == {
+        "max_allowed": 2,
+        "max_deviation": 1,
+        "sum_allowed": 2,
+        "sum_deviation": -5,
+        "violations": [{"sum": -5}],
+    }
+
+
+def test_verify_rejects_cacq_quotas_outside_the_bound(tmp_path, capsys):
+    """Zero quotas and an empty matching are stable, but the sets of quota 2 at L = 1 lose more than 2L - 1."""
+
+    def edit(doc):
+        doc["quotas"] = dict.fromkeys(doc["quotas"], 0)
+        doc["matching"] = []
+
+    code, out, _ = _verify_after_edit(tmp_path, capsys, "cacq", ("--seed", "2"), edit, edited="sol.json")
+    payload = json.loads(out)
+    assert code == 2 and payload["verdict"] == "fail"
+    verifier = payload["certificate"]["verifier"]
+    assert verifier["blocking_edges"] == verifier["quota_violations"] == []
+    assert payload["certificate"]["bounds"] == {
+        "max_allowed": 1,
+        "max_deviation": 2,
+        "violations": [{"set": "single[c0]", "deviation": -2}, {"set": "single[c2]", "deviation": -2}],
+    }
 
 
 def test_gen_byte_identical(tmp_path, capsys):

@@ -401,7 +401,7 @@ def _assert_ordinal_state(problem, reference, ordinal):
     assert ordinal.owner == dict(enumerate(holders))
     assert set(ordinal.owner.values()) == ordinal.columns == set(ordinal.row_of)
     assert all(ordinal.row_of[col] == row for row, col in ordinal.owner.items())
-    assert ordinal.mins == [ordinal.util[i][col] for i, col in enumerate(holders)]
+    assert ordinal.mins == [ordinal.utility(i, col) for i, col in enumerate(holders)]
     ranked = _ranked_columns(problem)
     assert ordinal.high == {i for i, col in enumerate(holders) if col != i and col not in ranked[i]}
 
@@ -422,14 +422,16 @@ def _random_problem(rng: random.Random, max_rows: int = 5, max_cols: int = 6) ->
 
 
 def test_utility_rows_sort_columns_as_the_reference_formula():
-    """Every row of the template layout orders its columns exactly as the reference, with distinct entries."""
-    from nearstable.scarf import _utility_matrix
+    """The engine's sparse utility orders every row's n + m columns exactly as the reference, with distinct entries."""
+    from nearstable.scarf import _OrdinalBasis
 
     rng = random.Random(7)
     problems = [_random_problem(rng) for _ in range(200)] + [rational_problem(seed) for seed in range(20)]
     for problem in problems:
         width = problem.num_rows + problem.num_cols
-        for row, ref in zip(_utility_matrix(problem), _reference_utility(problem)):
+        ordinal = _OrdinalBasis(problem)
+        for i, ref in enumerate(_reference_utility(problem)):
+            row = [ordinal.utility(i, c) for c in range(width)]
             assert len(set(row)) == width
             assert sorted(range(width), key=row.__getitem__) == sorted(range(width), key=ref.__getitem__)
 
@@ -713,6 +715,24 @@ def test_ordinal_steps_off_the_pivot_path_match_the_reference():
     assert min(branches.values()) > 100, branches
 
 
+def test_ordinal_basis_memory_grows_with_nonzeros():
+    """Setting up the ordinal basis of a 4,018 x 3,976 problem (11,636 nonzeros) stays far below a dense n x (n+m) table."""
+    import tracemalloc
+
+    from nearstable.scarf import _OrdinalBasis
+
+    inst = generate(GeneratorConfig(family="shm", seed=5, max_vertices=2000, max_edges=6000))
+    problem = build_shm_scarf(add_saturation_gadget(break_instance_ties(inst))).problem
+    assert (problem.num_rows, problem.num_cols) == (4018, 3976)
+    tracemalloc.start()
+    try:
+        _OrdinalBasis(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
+
+
 def test_pinned_rational_problem_rescales():
     """The pinned rational problem reaches the piv != den branch."""
     assert _lockstep(rational_problem(3))[0].rescales > 5
@@ -776,8 +796,13 @@ def test_empty_problem():
     assert point.x == ()
 
 
-LARGE_SHM = {"max_vertices": 60, "max_edges": 130, "max_edge_size": 3}
-LARGE_CACQ = {"max_students": 30, "max_colleges": 10, "max_extra_sets": 5}
+# Generator sizes per pinned family: `gen FAMILY --seed S` with these options.
+PINNED_SIZES = {
+    "shm": {"max_vertices": 60, "max_edges": 130, "max_edge_size": 3},
+    "cacq": {"max_students": 30, "max_colleges": 10, "max_extra_sets": 5},
+    "shm-1000": {"max_vertices": 1000, "max_edges": 2500},
+    "shm-2000": {"max_vertices": 2000, "max_edges": 6000},
+}
 
 # SHA-256 over the pivot/rounding trace lines and the canonical certificate,
 # recorded before the engine's arithmetic was reworked: any change to the
@@ -800,6 +825,11 @@ PINNED_PATHS = [
     ("cacq", solve_cacq, 12, "13a3971bc65dba4240d1c1877dc8e4b46ca236a8868116d9acf29cda489b4860"),
     ("cacq", solve_cacq, 13, "265f26015722010b67de130e1ab8f202ecca5ac58d38a6b756ac0e6c2a3c06e6"),
     ("shm-highcap", solve_shm, 10, "58bfe76b81a9b60d0c3f3b98394a4d1b1bc64d85ce54070d0b64940baf1d8d94"),
+    # Beyond the benchmark's sizes, recorded before the dense utility matrix
+    # was dropped: 480 vertices and 1,041 edges, then 47 vertices and 4,933
+    # edges (a 4,018 x 3,976 Scarf problem, 2,275 trace lines).
+    ("shm-1000", solve_shm, 3, "d51ffba33b32cb0645941c7e6839237cc0c7b482ebb93f2c5870f4f3a68e329b"),
+    ("shm-2000", solve_shm, 5, "4bdce278e7a1764502c7cd540365129813877033476013da89e2372ebda85b1a"),
 ]
 
 
@@ -838,8 +868,7 @@ def test_pivot_path_and_certificate_pinned(family, solve, seed, expected):
     elif family in PINNED_FAMILIES:
         inst = PINNED_FAMILIES[family](seed)
     else:
-        sizes = LARGE_SHM if family == "shm" else LARGE_CACQ
-        inst = generate(GeneratorConfig(family=family, seed=seed, **sizes))
+        inst = generate(GeneratorConfig(family=family.split("-")[0], seed=seed, **PINNED_SIZES[family]))
     lines = []
     result = solve(inst, trace=lines.append)
     digest = hashlib.sha256()

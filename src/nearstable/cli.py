@@ -24,7 +24,7 @@ from .model import CacqInstance, HypergraphInstance, normalize_cacq, require_val
 from .oracle import GeneratorConfig, enumerate_near_feasible, generate
 from .scarf import DEFAULT_PIVOT_BUDGET
 from .shm import solve_shm, verify_shm
-from .smf import round_stable_flow, verify_flow
+from .smf import flow_size, round_stable_flow, verify_flow
 
 EXIT_PASS = 0
 EXIT_VERIFIED_FAIL = 2
@@ -178,6 +178,38 @@ def _revision_bounds(original: dict, revised: dict, kind: str, allowed: int, sig
     return bounds
 
 
+def _smf_bounds(doc: ff.SmfDocument, capacity: dict, ccaps: dict, flow: dict) -> dict:
+    """The smf revision bounds, recomputed from the instance and the solution.
+
+    Aggregate capacities may move by at most k - 1 per arc and commodity
+    capacities not at all; a breach names the arc, or the arc and the
+    commodity.  The file does not record the rounding mode, so each
+    commodity's size drift from the instance's flow is checked against the
+    weaker limit of the two modes, the balanced one (below 2), and the
+    aggregate drift is reported against both modes' limits and checked
+    against the weaker, the default one (below k).
+    """
+    inst = doc.instance
+    k = inst.num_commodities
+    bounds = _revision_bounds(inst.capacity, capacity, "arc", max(k - 1, 0), signed_sum=False)
+    changed = {key: ccaps[key] - q for key, q in inst.commodity_capacity.items() if ccaps[key] != q}
+    bounds["commodity_max_deviation"] = max(map(abs, changed.values()), default=0)
+    bounds["commodity_allowed"] = 0
+    violations = bounds["violations"]
+    violations += [{"arc": arc, "commodity": j, "deviation": d} for (arc, j), d in changed.items()]
+    if doc.flow is not None:
+        drift = {j: flow_size(inst, flow, j) - flow_size(inst, doc.flow, j) for j in range(1, k + 1)}
+        total = abs(sum(drift.values()))
+        bounds["per_commodity_drift"] = {str(j): str(abs(d)) for j, d in drift.items()}
+        bounds["per_commodity_drift_allowed"] = "<2"
+        bounds["aggregate_drift"] = str(total)
+        bounds["aggregate_drift_allowed"] = {"balanced": "<1", "default": f"<{k}"}
+        violations += [{"commodity": j, "drift": str(abs(d))} for j, d in drift.items() if abs(d) >= 2]
+        if total >= k:
+            violations.append({"aggregate_drift": str(total)})
+    return bounds
+
+
 def _cmd_verify(args) -> int:
     inst_text = _read(args.instance)
     parsed = ff.parse_document(inst_text)
@@ -220,14 +252,12 @@ def _cmd_verify(args) -> int:
             "capacity_violations": list(report.capacity_violations),
         }
         ok = report.ok
-        bounds = None
+        bounds = _smf_bounds(parsed, capacity, ccaps, flow)
     else:
         raise InputError("unsupported instance kind for verify")
     elapsed = time.perf_counter() - start
-    certificate = {"verifier": detail}
-    if bounds is not None:
-        certificate["bounds"] = bounds
-        ok = ok and not bounds["violations"]
+    certificate = {"verifier": detail, "bounds": bounds}
+    ok = ok and not bounds["violations"]
     payload = {
         "input_digest": _digest(inst_text),
         "verdict": "pass" if ok else "fail",

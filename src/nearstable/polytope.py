@@ -15,10 +15,13 @@ rational rows, and directions and multipliers change only by positive
 factors: the pivot path and every returned point are the ones Fraction
 arithmetic gives.
 
-All elimination runs through one integer kernel, `_echelon`: integer rows
-are reduced in input order without division and divided by their content,
-so positively scaled inputs leave the same rows.  The null vector of the
-purification step, the exact solves of the simplex, the Scarf engine's
+All elimination runs through one integer kernel, `_echelon`, over sparse
+rows: each `IntRow` becomes a {column: value} dict of its nonzeros (a
+stored zero is skipped), is reduced in input order without division
+against the rows kept so far, touching only their nonzeros, and is
+divided by its content, so positively scaled inputs leave the same rows.
+The null vector of the purification step, the exact solves of the simplex
+(whose transposed rows are built column by column), the Scarf engine's
 vertex certificate (`certify_extreme`) and the active-set start of the
 simplex are each a reading of its output, so they agree with one another
 and with Fraction elimination in the same order.
@@ -40,8 +43,12 @@ vertex returned as exact `fractions.Fraction` values, deterministically.
 `iterative_rounding` is the rounding loop both capacity-revision pipelines
 share: delete one row by a pipeline's rule, fix the integral coordinates,
 and call `extreme_point` on the reduced integer system over the fractional
-coordinates, repeating until the vector is integral.  It works in integers
-throughout; a `Fraction` is made only for each step's objective record.
+coordinates, repeating until the vector is integral.  A step whose deleted
+row has no nonzero coefficient on a fractional coordinate cannot change
+that LP's answer, so after the first step it is recorded without a solve;
+a row found constant is checked once and left out of later steps.  It
+works in integers throughout; a `Fraction` is made only for each step's
+objective record.
 """
 
 from __future__ import annotations
@@ -107,35 +114,44 @@ def int_dot(row: IntRow, nums: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _echelon(rows: Iterable[list[int]]) -> list[tuple[int, int, list[int]]]:
+def _echelon(rows: Iterable[IntRow]) -> list[tuple[int, int, dict[int, int]]]:
     """(input index, lead column, integer row) for each independent input row.
 
-    Rows are reduced in input order against the rows kept so far: with `b`
-    a kept row and `lead` its first nonzero column, the row becomes
-    `b[lead]*row - row[lead]*b`.  A row left nonzero is divided by its
-    content (the gcd of its entries) and kept.  Every kept row is a positive
+    Each row is taken as a {column: value} dict of its nonzero entries (a
+    stored zero coefficient is no entry) and reduced in input order against
+    the rows kept so far: with `b` a kept row and `lead` its smallest
+    column, the row becomes `b[lead]*row - row[lead]*b`, entries that
+    cancel leaving the dict.  A row left nonzero is divided by its content
+    (the gcd of its entries) and kept.  Every kept row is a positive
     multiple of the row Fraction elimination in the same order keeps, and
     vanishes on the lead columns of the rows kept before it; a positive
     multiple of an input row leaves the kept rows unchanged.
     """
     kept = []
-    for index, row in enumerate(rows):
+    for index, entries in enumerate(rows):
+        row = {j: v for j, v in entries if v}
         for _, lead, b in kept:
-            factor = row[lead]
+            factor = row.get(lead)
             if factor:
                 piv = b[lead]
-                row = [piv * r - factor * c for r, c in zip(row, b)]
-        lead = next((c for c, v in enumerate(row) if v), None)
-        if lead is None:
+                if piv != 1:
+                    row = {j: piv * v for j, v in row.items()}
+                for j, v in b.items():
+                    v = row.get(j, 0) - factor * v
+                    if v:
+                        row[j] = v
+                    else:
+                        del row[j]
+        if not row:
             continue
-        content = gcd(*row)
+        content = gcd(*row.values())
         if content != 1:
-            row = [v // content for v in row]
-        kept.append((index, lead, row))
+            row = {j: v // content for j, v in row.items()}
+        kept.append((index, min(row), row))
     return kept
 
 
-def _null_vector(kept: list[tuple[int, int, list[int]]], dim: int) -> Point | None:
+def _null_vector(kept: list[tuple[int, int, dict[int, int]]], dim: int) -> Point | None:
     """A nonzero integer point w with b . w = 0 for the rows `_echelon` kept, or None.
 
     Deterministic: w is 1 (over its denominator) on the lowest-index column
@@ -154,7 +170,7 @@ def _null_vector(kept: list[tuple[int, int, list[int]]], dim: int) -> Point | No
     w = [0] * dim
     w[free] = 1
     for _, lead, b in reversed(kept):
-        s = sum(map(mul, b, w))
+        s = sum([v * w[j] for j, v in b.items()])
         if not s:
             continue
         piv = b[lead]
@@ -166,7 +182,7 @@ def _null_vector(kept: list[tuple[int, int, list[int]]], dim: int) -> Point | No
     return w, w[free]
 
 
-def _solution(augmented: Iterable[list[int]], n: int) -> Point:
+def _solution(augmented: Iterable[IntRow], n: int) -> Point:
     """x with M x = rhs, from the integer rows [M | -rhs] of a square system.
 
     x is the null vector of [M | -rhs] when its last coordinate is 1.  That
@@ -237,29 +253,29 @@ class _Constraints:
     """Integer `<=`/`==` constraints over `n` variables, in Bland order.
 
     `constraints` holds (row, rhs) pairs: the `num_eq` equalities, then the
-    `<=` rows, then each lower bound as `-x_i <= -lo_i`, then each finite
-    upper bound.  The index of a constraint is its tie-break key; only the
-    equalities are never dropped from an active set.  `num_rows` counts the
-    system rows they come from and sizes the simplex budget.
+    other rows, then the single-entry bound rows: each lower bound as
+    `-x_i <= -lo_i`, then each finite upper bound.  The index of a
+    constraint is its tie-break key; only the equalities are never dropped
+    from an active set.  `num_rows` counts the system rows they come from
+    and sizes the simplex budget; `sources` holds the position among those
+    rows of each row kept, in order, so the bound rows start at index
+    `len(sources)`.
     """
 
-    def __init__(self, n: int, num_eq: int, constraints: list, num_rows: int):
+    def __init__(self, n: int, num_eq: int, constraints: list, num_rows: int, sources: list[int]):
         self.n = n
         self.num_eq = num_eq
         self.constraints = constraints
         self.num_rows = num_rows
-
-    def dense(self, k: int) -> list[int]:
-        """Constraint k's row as a dense vector for `_echelon`."""
-        vec = [0] * self.n
-        for i, c in self.constraints[k][0]:
-            vec[i] = c
-        return vec
+        self.sources = sources
 
     def slacks(self, point: Point) -> list[int]:
         """Each constraint's rhs less its row at the point, times den."""
         nums, den = point
-        return [rhs * den - sum([c * nums[j] for j, c in row]) for row, rhs in self.constraints]
+        split = len(self.sources)
+        slacks = [rhs * den - sum([c * nums[j] for j, c in row]) for row, rhs in self.constraints[:split]]
+        slacks += [rhs * den - c * nums[j] for ((j, c),), rhs in self.constraints[split:]]
+        return slacks
 
     def tight(self, slacks: list[int]) -> list[int]:
         """Every equality, then the inequalities with no slack, in Bland order."""
@@ -300,8 +316,8 @@ def _constraints(
     upper bound of None gives no row.
     """
     position = {j: i for i, j in enumerate(free)}.get
-    eq, le = [], []
-    for row in rows:
+    eq, le, sources = [], [], []
+    for source, row in enumerate(rows):
         kept, rhs = [], den * row.rhs
         for j, c in row.coeffs:
             i = position(j)
@@ -311,11 +327,12 @@ def _constraints(
                 kept.append((i, den * c))
         if kept:
             (eq if row.relation == "eq" else le).append((tuple(kept), rhs))
+            sources.append(source)
         elif rhs < 0 or (rhs and row.relation == "eq"):
             raise PreconditionError("warm start point is not feasible for the system")
     low = [(((i, -lower[j].denominator),), -lower[j].numerator) for i, j in enumerate(free)]
     up = [(((i, upper[j].denominator),), upper[j].numerator) for i, j in enumerate(free) if upper[j] is not None]
-    return _Constraints(len(free), len(eq), eq + le + low + up, len(rows))
+    return _Constraints(len(free), len(eq), eq + le + low + up, len(rows), sources)
 
 
 def _max_step(red: _Constraints, point: Point, d: Sequence[int], skip) -> tuple[Fraction | None, int | None]:
@@ -370,7 +387,7 @@ def _purify(red: _Constraints, point: Point, slacks: list[int], gain: list[int])
     """
     while True:
         tight = red.tight(slacks)
-        kept = _echelon(red.dense(k) for k in tight)
+        kept = _echelon(red.constraints[k][0] for k in tight)
         w = _null_vector(kept, red.n)
         if w is None:
             return point, [tight[index] for index, _, _ in kept]
@@ -393,19 +410,27 @@ def _simplex(red: _Constraints, point: Point, objective: list[int], active: list
     """Maximize objective over the constraints from a vertex and an active set at it.
 
     The multipliers and the direction are positive multiples of the
-    rational ones, which is all their signs and the step test need.
+    rational ones, which is all their signs and the step test need: the
+    multipliers solve the transposed active rows, built column by column,
+    against the objective, and the direction the active rows against the
+    leaving constraint's unit vector.
     """
-    budget = _SIMPLEX_BUDGET_FACTOR * (red.n + red.num_rows + 1)
+    n = red.n
+    budget = _SIMPLEX_BUDGET_FACTOR * (n + red.num_rows + 1)
     for _ in range(budget):
-        matrix = [red.dense(k) for k in active]
-        lam, _ = _solution(([*col, -c] for col, c in zip(zip(*matrix), objective)), red.n)
+        matrix = [red.constraints[k][0] for k in active]
+        columns = [[] for _ in range(n)]
+        for pos, row in enumerate(matrix):
+            for j, c in row:
+                columns[j].append((pos, c))
+        lam, _ = _solution(((*col, (n, -c)) for col, c in zip(columns, objective)), n)
         leaving = None
         for pos, k in enumerate(active):
             if k >= red.num_eq and lam[pos] < 0 and (leaving is None or k < active[leaving]):
                 leaving = pos
         if leaving is None:
             return point
-        d, _ = _solution(([*row, int(pos == leaving)] for pos, row in enumerate(matrix)), red.n)
+        d, _ = _solution(((*row, (n, 1)) if pos == leaving else row for pos, row in enumerate(matrix)), n)
         t, entering = _max_step(red, point, d, skip=set(active))
         if t is None:
             raise InternalError("unbounded improving ray on a bounded polytope")
@@ -491,11 +516,24 @@ def iterative_rounding(
     LP that `_constraints` reduces the imposed rows to over the fractional
     coordinates, as it would a `LinearSystem` with the integral ones fixed,
     from the current point to a vertex, maximizing `objective` if given,
-    which must never decrease.  The rows are checked once, on the first
-    step; each value is checked against its bounds when it is fixed; the
-    step system holds before and after each step; the integral result
-    satisfies every row still imposed and every bound.  Returns the
-    integral vector and one record per step.
+    which must never decrease.
+
+    After the first step, a deleted row with no nonzero coefficient on a
+    fractional coordinate leaves the LP unsolved and the point where it
+    is.  That is what the solve would return: the step system is the last
+    solved one with the newly fixed columns substituted out and constant
+    rows dropped, so its feasible set lies inside the last one's and holds
+    the point, which was returned as a vertex (and as the optimum when
+    there is an objective); purification finds no null vector there, and
+    any simplex move would strictly raise the objective.  A row the
+    reducer found constant has been checked and is left out of every
+    later step's input.
+
+    The rows are checked once, on the first step; each value is checked
+    against its bounds when it is fixed; the step system holds before and
+    after each solved step; the integral result satisfies every row still
+    imposed and every bound.  Returns the integral vector and one record
+    per step.
     """
     n = len(start)
     nums, den = scale(start)
@@ -503,6 +541,7 @@ def iterative_rounding(
     newly = [j for j in range(n) if not nums[j] % den]  # integral, not yet fixed
     values = [0] * n  # the value of each fixed coordinate
     active = list(range(len(rows)))
+    live = list(active)  # the imposed rows not yet found constant
     bounds = (0,) * n, (upper,) * n
     steps = []
     gain, gain_den = scale(objective) if objective is not None else ([0] * n, 1)
@@ -517,18 +556,23 @@ def iterative_rounding(
             raise InternalError("no deletable row although the vector is fractional")
         index, deleted, kind, label = choice
         active.remove(index)
+        if index in live:
+            live.remove(index)
         if not steps:
             _check_rows(rows, n)
         for j in newly:
             values[j] = nums[j] // den
             _check_bounds(j, values[j], 0, upper)
-        red = _constraints([rows[i] for i in active], free, values, 1, *bounds)
-        moved, den = extreme_point(red, [gain[j] for j in free], ([nums[j] for j in free], den))
-        nums = [v * den for v in values]
-        for j, v in zip(free, moved):
-            nums[j] = v
-        newly = [j for j in free if not nums[j] % den]
-        free = [j for j in free if nums[j] % den]
+        newly = []
+        if not steps or any(c and j in fractional for j, c in rows[index].coeffs):
+            red = _constraints([rows[i] for i in live], free, values, 1, *bounds)
+            live = [live[p] for p in red.sources]
+            moved, den = extreme_point(red, [gain[j] for j in free], ([nums[j] for j in free], den))
+            nums = [v * den for v in values]
+            for j, v in zip(free, moved):
+                nums[j] = v
+            newly = [j for j in free if not nums[j] % den]
+            free = [j for j in free if nums[j] % den]
         step = {"deleted": deleted, "kind": kind, "fractional": len(fractional)}
         line = f"round step {len(steps) + 1}: delete {label}, fractional={len(fractional)}"
         if objective is not None:

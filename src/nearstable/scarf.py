@@ -209,11 +209,7 @@ def certify_extreme(problem: ScarfProblem, x: Sequence[Fraction]) -> bool:
         if value > limit:
             raise InputError(f"point violates row {i}")
         if value == limit:
-            vector = [0] * len(position)
-            for j, c in row:
-                if j in position:
-                    vector[position[j]] = c
-            vectors.append(vector)
+            vectors.append([(position[j], c) for j, c in row if j in position])
     return len(_echelon(vectors)) == len(position)
 
 

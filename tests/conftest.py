@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
+from operator import mul
 
 import pytest
 
@@ -17,15 +19,20 @@ from nearstable.model import (
     HyperEdge,
     HypergraphInstance,
 )
+from nearstable.errors import InternalError
 from nearstable.orders import WeakOrder
 from nearstable.polytope import (
     ZERO,
     LinearRow,
     LinearSystem,
+    _check_bounds,
+    _check_rows,
     _echelon,
     _constraints,
     _null_vector,
     _solution,
+    extreme_point,
+    int_dot,
     scale,
     sparse,
 )
@@ -34,12 +41,12 @@ from nearstable.smf import flow_size
 
 def exact_rank(vectors) -> int:
     """Rank of a list of rational row vectors: the rows the elimination kernel keeps."""
-    return len(_echelon(scale(vec)[0] for vec in vectors))
+    return len(_echelon(sparse(scale(vec)[0]) for vec in vectors))
 
 
 def nullspace_vector(vectors, dim: int) -> list[Fraction] | None:
     """Some nonzero w with v . w = 0 for every rational vector v, or None if none exists."""
-    w = _null_vector(_echelon(scale(vec)[0] for vec in vectors), dim)
+    w = _null_vector(_echelon(sparse(scale(vec)[0]) for vec in vectors), dim)
     if w is None:
         return None
     nums, den = w
@@ -48,8 +55,96 @@ def nullspace_vector(vectors, dim: int) -> list[Fraction] | None:
 
 def solve_square(matrix, rhs) -> list[Fraction]:
     """Solve M x = rhs for a square nonsingular rational M, exactly."""
-    nums, den = _solution((scale([*row, -b])[0] for row, b in zip(matrix, rhs)), len(matrix))
+    nums, den = _solution((sparse(scale([*row, -b])[0]) for row, b in zip(matrix, rhs)), len(matrix))
     return [Fraction(v, den) for v in nums]
+
+
+def dense_echelon(rows) -> list[tuple[int, int, list[int]]]:
+    """The elimination kernel over dense integer rows, kept as the reference for the sparse one.
+
+    Rows are reduced in input order against the rows kept so far: with `b`
+    a kept row and `lead` its first nonzero column, the row becomes
+    `b[lead]*row - row[lead]*b`.  A row left nonzero is divided by its
+    content and kept as (input index, lead column, row).
+    """
+    kept = []
+    for index, row in enumerate(rows):
+        for _, lead, b in kept:
+            factor = row[lead]
+            if factor:
+                piv = b[lead]
+                row = [piv * r - factor * c for r, c in zip(row, b)]
+        lead = next((c for c, v in enumerate(row) if v), None)
+        if lead is None:
+            continue
+        content = gcd(*row)
+        if content != 1:
+            row = [v // content for v in row]
+        kept.append((index, lead, row))
+    return kept
+
+
+def always_resolve_rounding(start, rows, rule, upper, objective=None, trace=None):
+    """The rounding loop with an LP solve on every step, kept as the reference for `iterative_rounding`.
+
+    Every step hands all the imposed rows to `_constraints` and calls
+    `extreme_point`, whether or not the deleted row touches a fractional
+    coordinate; the records, trace lines and result must be the ones the
+    loop that skips unchanged LPs gives.
+    """
+    n = len(start)
+    nums, den = scale(start)
+    free = [j for j in range(n) if nums[j] % den]
+    newly = [j for j in range(n) if not nums[j] % den]
+    values = [0] * n
+    active = list(range(len(rows)))
+    bounds = (0,) * n, (upper,) * n
+    steps = []
+    gain, gain_den = scale(objective) if objective is not None else ([0] * n, 1)
+    value = sum(map(mul, gain, nums)), den
+
+    while free:
+        if len(steps) == len(rows):
+            raise InternalError("rounding exceeded the deletion bound")
+        fractional = set(free)
+        choice = rule((nums, den), fractional, active)
+        if choice is None:
+            raise InternalError("no deletable row although the vector is fractional")
+        index, deleted, kind, label = choice
+        active.remove(index)
+        if not steps:
+            _check_rows(rows, n)
+        for j in newly:
+            values[j] = nums[j] // den
+            _check_bounds(j, values[j], 0, upper)
+        red = _constraints([rows[i] for i in active], free, values, 1, *bounds)
+        moved, den = extreme_point(red, [gain[j] for j in free], ([nums[j] for j in free], den))
+        nums = [v * den for v in values]
+        for j, v in zip(free, moved):
+            nums[j] = v
+        newly = [j for j in free if not nums[j] % den]
+        free = [j for j in free if nums[j] % den]
+        step = {"deleted": deleted, "kind": kind, "fractional": len(fractional)}
+        line = f"round step {len(steps) + 1}: delete {label}, fractional={len(fractional)}"
+        if objective is not None:
+            before, value = value, (sum(map(mul, gain, nums)), den)
+            if value[0] * before[1] < before[0] * value[1]:
+                raise InternalError("rounding objective decreased")
+            shown = Fraction(value[0], gain_den * den)
+            step["objective"] = str(shown)
+            line += f", objective={shown}"
+        steps.append(step)
+        if trace is not None:
+            trace(line)
+    result = [v // den for v in nums]
+    if steps:
+        for i in active:
+            lhs, rhs = int_dot(rows[i].coeffs, result), rows[i].rhs
+            if lhs > rhs or (rows[i].relation == "eq" and lhs != rhs):
+                raise InternalError("rounded vector violates an imposed row")
+        if min(result) < 0 or (upper is not None and max(result) > upper):
+            raise InternalError("rounded vector violates its bounds")
+    return result, steps
 
 
 def rational_row(dense, relation: str, rhs) -> LinearRow:
@@ -81,7 +176,7 @@ def is_feasible(sys: LinearSystem, x) -> bool:
 def rank_of_tight_rows(sys: LinearSystem, x) -> int:
     """Exact rank of the constraint rows (bounds included) tight at x, fixed variables substituted out."""
     red, free = integer_system(sys)
-    return len(_echelon(red.dense(k) for k in red.tight(red.slacks(scale([x[j] for j in free])))))
+    return len(_echelon(red.constraints[k][0] for k in red.tight(red.slacks(scale([x[j] for j in free])))))
 
 
 def is_vertex(sys: LinearSystem, x) -> bool:

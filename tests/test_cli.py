@@ -155,6 +155,38 @@ def test_verify_rejects_cacq_quotas_outside_the_bound(tmp_path, capsys):
     }
 
 
+def test_verify_rejects_smf_capacities_outside_the_bounds(tmp_path, capsys):
+    """Commodity capacities lowered to each commodity's own flow keep the flow stable but break
+    their bound; an aggregate capacity moved by k breaks the k - 1 bound."""
+    inst, sol, edited = tmp_path / "inst.json", tmp_path / "sol.json", tmp_path / "edited.json"
+    assert run(capsys, "gen", "smf", "--seed", "17", "-o", str(inst))[0] == 0
+    assert run(capsys, "round", "smf", str(inst), "--mode", "balanced", "-o", str(sol))[0] == 0
+    code, out, _ = run(capsys, "verify", str(inst), str(sol))
+    bounds = json.loads(out)["certificate"]["bounds"]
+    assert code == 0 and bounds["violations"] == [] and bounds["max_allowed"] == 1
+    assert bounds["per_commodity_drift_allowed"] == "<2"
+    assert bounds["aggregate_drift_allowed"] == {"balanced": "<1", "default": "<2"}
+    doc = json.loads(sol.read_text())
+    expected = []
+    for j, (caps, flow) in enumerate(zip(doc["commodity_capacities"], doc["flow"]), start=1):
+        for arc, cap in caps.items():
+            caps[arc] = flow.get(arc, 0)
+            if caps[arc] != cap:
+                expected.append({"arc": arc, "commodity": j, "deviation": caps[arc] - cap})
+    edited.write_text(ff.canonical_dumps(doc), encoding="utf-8")
+    code, out, _ = run(capsys, "verify", str(inst), str(edited))
+    payload = json.loads(out)
+    assert code == 2 and payload["verdict"] == "fail"
+    assert payload["certificate"]["verifier"] == {"blocking_walks": [], "capacity_violations": [], "kirchhoff_violations": []}
+    assert expected and payload["certificate"]["bounds"]["violations"] == expected
+    doc = json.loads(sol.read_text())
+    arc = sorted(doc["capacity"])[0]
+    doc["capacity"][arc] = json.loads(inst.read_text())["capacity"][arc] + 2
+    edited.write_text(ff.canonical_dumps(doc), encoding="utf-8")
+    code, out, _ = run(capsys, "verify", str(inst), str(edited))
+    assert code == 2 and {"arc": arc, "deviation": 2} in json.loads(out)["certificate"]["bounds"]["violations"]
+
+
 def test_gen_byte_identical(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert run(capsys, "gen", "fixtures", "--seed", "7", "-o", str(a))[0] == 0

@@ -5,9 +5,11 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import (
     cyclic_sets_cacq,
+    dense_echelon,
     exact_rank,
     integer_system,
     is_feasible,
@@ -19,13 +21,14 @@ from conftest import (
     solve_square,
     uniform3_instance,
 )
-from nearstable import polytope
+from nearstable import cacq, polytope, shm
 from nearstable.cacq import solve_cacq
 from nearstable.errors import InternalError, PreconditionError
 from nearstable.polytope import (
     LinearRow,
     LinearSystem,
     _advance,
+    _echelon,
     _max_step,
     extreme_point,
     iterative_rounding,
@@ -116,7 +119,7 @@ def test_objective_needs_one_entry_per_variable():
     for objective in ((F(1),), (F(1),) * 3):
         with pytest.raises(PreconditionError, match="objective has"):
             extreme_point(box(2), objective, (F(1, 2), F(0)))
-    red = polytope._Constraints(2, 0, [(((0, 1),), 1), (((1, 1),), 1)], 2)
+    red = polytope._Constraints(2, 0, [(((0, 1),), 1), (((1, 1),), 1)], 0, [])
     for objective in ([1], [1, 1, 1]):
         with pytest.raises(PreconditionError, match="objective has"):
             extreme_point(red, objective, ([0, 0], 1))
@@ -155,12 +158,12 @@ def test_rounding_rejects_an_infeasible_start():
 
 
 def test_parallel_to_equality():
-    red = polytope._Constraints(3, 1, [(((0, 2), (2, 4)), 6), (((0, 1), (1, 1)), 1)], 2)
+    red = polytope._Constraints(3, 1, [(((0, 2), (2, 4)), 6), (((0, 1), (1, 1)), 1)], 2, [0, 1])
     assert red.parallel_to_equality([1, 0, 2]) and red.parallel_to_equality([-3, 0, -6])
     assert not red.parallel_to_equality([1, 0, 3])
     assert not red.parallel_to_equality([1, 1, 2])
     assert not red.parallel_to_equality([1, 1, 0])  # parallel to an inequality only
-    zeros = polytope._Constraints(2, 1, [(((0, 0), (1, 0)), 0)], 1)
+    zeros = polytope._Constraints(2, 1, [(((0, 0), (1, 0)), 0)], 1, [0])
     assert not zeros.parallel_to_equality([1, 1])
 
 
@@ -181,20 +184,76 @@ def test_rounding_checks_its_result_against_the_imposed_rows(monkeypatch):
 
 
 def test_rounding_steps_solve_over_the_fractional_coordinates(monkeypatch):
-    """Each step calls `extreme_point` on a system with one variable per fractional coordinate."""
-    sizes = []
-    entry = polytope.extreme_point
+    """`extreme_point` runs on step 1 and on each step whose deleted row touches a fractional
+    coordinate, on a system with one variable per fractional coordinate; no other step calls it."""
+    events = []
+    entry, rounding = polytope.extreme_point, polytope.iterative_rounding
 
     def recording(sys_, objective, warm):
-        sizes.append((sys_.n, len(warm[0]), len(objective)))
+        events.append(("lp", sys_.n, len(warm[0]), len(objective)))
         return entry(sys_, objective, warm)
 
+    def observed(start, rows, rule, **options):
+        def recording_rule(point, fractional, active):
+            choice = rule(point, fractional, active)
+            touches = any(c and j in fractional for j, c in rows[choice[0]].coeffs)
+            events.append(("step", len(fractional), touches))
+            return choice
+
+        return rounding(start, rows, recording_rule, **options)
+
     monkeypatch.setattr(polytope, "extreme_point", recording)
+    monkeypatch.setattr(shm, "iterative_rounding", observed)
+    monkeypatch.setattr(cacq, "iterative_rounding", observed)
+    solved = skipped = 0
     for inst, solve in ((uniform3_instance(77), solve_shm), (cyclic_sets_cacq(42), solve_cacq)):
-        sizes.clear()
+        events.clear()
         result = solve(inst)
         assert result.rounding_steps
-        assert sizes == [(step["fractional"],) * 3 for step in result.rounding_steps]
+        expected = []
+        for number, step in enumerate(result.rounding_steps):
+            touches = events[len(expected)][2]
+            expected.append(("step", step["fractional"], touches))
+            if number == 0 or touches:
+                expected.append(("lp",) + (step["fractional"],) * 3)
+                solved += number > 0
+            else:
+                skipped += 1
+        assert events == expected
+    assert solved and skipped
+
+
+@st.composite
+def _integer_matrices(draw):
+    """Integer matrices with zero rows, repeated, proportional and summed rows and negative
+    entries, each row marked for input with its zero coefficients stored or left out."""
+    width = draw(st.integers(1, 6))
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(("fresh", "zero", "repeat", "multiple", "sum")))
+        if kind == "fresh" or (kind != "zero" and not rows):
+            rows.append(draw(st.lists(st.integers(-5, 5), min_size=width, max_size=width)))
+        elif kind == "zero":
+            rows.append([0] * width)
+        elif kind == "repeat":
+            rows.append(list(draw(st.sampled_from(rows))))
+        elif kind == "multiple":
+            factor = draw(st.integers(-3, 3).filter(bool))
+            rows.append([factor * v for v in draw(st.sampled_from(rows))])
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            rows.append([u - 2 * v for u, v in zip(a, b)])
+    stored = draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+    return width, rows, stored
+
+
+@given(_integer_matrices())
+def test_sparse_kernel_matches_the_dense_reference(case):
+    """`_echelon` keeps the indices, leads and rows the dense kernel keeps, stored zeros or not."""
+    width, rows, stored = case
+    kept = _echelon(tuple(enumerate(row)) if keep else sparse(row) for row, keep in zip(rows, stored))
+    assert all(all(row.values()) for _, _, row in kept)
+    assert [(index, lead, [row.get(j, 0) for j in range(width)]) for index, lead, row in kept] == dense_echelon(rows)
 
 
 def test_zero_row_equality_leaves_the_objective_to_the_simplex():
@@ -475,7 +534,8 @@ def test_integer_kernel_against_fraction_evaluation():
         assert free == reference_free and red.num_eq == num_eq and len(red.constraints) == len(reference)
         dropped += any(all(j in sys_.fixed for j, _ in r.coeffs) for r in sys_.rows)
         for k, (row, rhs) in enumerate(reference):
-            integer = [*red.dense(k), red.constraints[k][1]]
+            row_k, rhs_k = red.constraints[k]
+            integer = [*map(dict(row_k).get, range(red.n), [0] * red.n), rhs_k]
             lead = next(i for i, v in enumerate(row) if v)
             factor = F(integer[lead]) / row[lead]
             assert factor > 0 and integer == [factor * v for v in [*row, rhs]], (trial, k)

@@ -12,12 +12,14 @@ import hashlib
 import pytest
 
 from conftest import (
+    always_resolve_rounding,
     cyclic_sets_cacq,
     odd_cycles_instance,
     overlapping_sets_instance,
     triangle_instance,
     uniform3_instance,
 )
+from nearstable import cacq, polytope, shm
 from nearstable import fileformat as ff
 from nearstable.cacq import solve_cacq
 from nearstable.model import normalize_cacq, validate
@@ -112,6 +114,33 @@ def test_rounding_corpus_pinned():
             _digest(lines, result, digest)
     assert (rounded, steps) == (40, 351)
     assert digest.hexdigest() == CORPUS_DIGEST
+
+
+def test_skipped_steps_match_the_always_resolve_loop(monkeypatch):
+    """Rounding with its unchanged LPs skipped gives the vector, records and trace lines of the
+    loop that solves every step, on the pinned cases and the corpus."""
+    rounding = polytope.iterative_rounding
+    runs = steps = 0
+
+    def compared(start, rows, rule, upper, objective=None, trace=None):
+        nonlocal runs, steps
+        lines, reference_lines = [], []
+        result = rounding(start, rows, rule, upper=upper, objective=objective, trace=lines.append)
+        reference = always_resolve_rounding(start, rows, rule, upper, objective, reference_lines.append)
+        assert result == reference and lines == reference_lines
+        runs, steps = runs + bool(result[1]), steps + len(result[1])
+        for line in lines if trace is not None else ():
+            trace(line)
+        return result
+
+    monkeypatch.setattr(shm, "iterative_rounding", compared)
+    monkeypatch.setattr(cacq, "iterative_rounding", compared)
+    for name in sorted(CASES):
+        _solve(name)
+    for build, seeds, solve in CORPUS:
+        for seed in seeds:
+            solve(build(seed))
+    assert runs == len(CASES) + 40 and steps > 351
 
 
 @pytest.mark.parametrize("k,seed,mode", sorted(SMF_PINNED))

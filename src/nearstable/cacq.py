@@ -2,11 +2,12 @@
 
 Set quotas (including each college's own singleton set) may be revised by
 at most 2L - 1, where L is the largest number of sets any college belongs
-to; student capacities are never touched.  The pipeline mirrors the
-hypergraph one but rounds against inequality rows: a set row is deleted
-when its fractional column mass is at most 2L - 1 (non-tight rows) or 2L
-(tight rows), and students matched fully by the fractional solution are
-pinned as equalities so they stay matched.
+to; student capacities are never touched.  `quota_bounds` states that
+bound once, for `solve_cacq`'s self-check and for `nearstable verify`.
+The pipeline mirrors the hypergraph one but rounds against inequality
+rows: a set row is deleted when its fractional column mass is at most
+2L - 1 (non-tight rows) or 2L (tight rows), and students matched fully by
+the fractional solution are pinned as equalities so they stay matched.
 """
 
 from __future__ import annotations
@@ -209,6 +210,9 @@ def verify_cacq(inst: CacqInstance, quotas: Mapping, matching: Mapping) -> CacqR
     missing = [cs.id for cs in inst.sets if cs.id not in quotas]
     if missing:
         raise InputError(f"quotas missing for sets: {missing}")
+    unknown = sorted(quotas.keys() - {cs.id for cs in inst.sets})
+    if unknown:
+        raise InputError(f"quotas given for unknown sets: {unknown}")
     unknown = sorted(set(matching) - {e.id for e in inst.edges})
     if unknown:
         raise InputError(f"matching references unknown edges: {unknown}")
@@ -251,6 +255,16 @@ def verify_cacq(inst: CacqInstance, quotas: Mapping, matching: Mapping) -> CacqR
     )
 
 
+def quota_bounds(normalized: CacqInstance, revised: Mapping) -> dict:
+    """The cacq revision bound, as `solve_cacq` certifies it and `verify` reports it.
+
+    With L the largest number of sets a college belongs to, every quota of
+    the normalized instance's sets moves by at most 2L - 1.
+    """
+    original = {cs.id: cs.quota for cs in normalized.sets}
+    return CapacityRevision(original, revised).bounds("set", 2 * normalized.max_memberships - 1)
+
+
 @dataclass(frozen=True)
 class CacqResult:
     revision: CapacityRevision
@@ -268,9 +282,9 @@ def solve_cacq(
 ) -> CacqResult:
     """Full pipeline; revises only set quotas, by at most 2L - 1 each.
 
-    Certificates assert the per-set bound, feasibility under the revised
-    quotas, zero blocking edges, and that every student fully assigned by
-    the fractional solution is matched in the output.
+    Certificates assert the per-set bound of `quota_bounds`, feasibility
+    under the revised quotas, zero blocking edges, and that every student
+    fully assigned by the fractional solution is matched in the output.
     """
     require_valid(inst)
     normalized = normalize_cacq(inst)
@@ -284,10 +298,10 @@ def solve_cacq(
     report = verify_cacq(normalized, revision.revised, y)
     if not report.ok:
         raise InternalError("rounded matching unstable under the revised quotas")
-    ell = normalized.max_memberships
-    max_dev = revision.max_deviation()
-    if max_dev > 2 * ell - 1:
-        raise InternalError(f"quota bound violated: {max_dev} > {2 * ell - 1}")
+    bounds = quota_bounds(normalized, revision.revised)
+    violations = bounds.pop("violations")
+    if violations:
+        raise InternalError(f"quota revision bounds violated: {violations}")
     matched_students = {e.student for e in normalized.edges if y[e.id] == 1}
     missing = [s for s in pinned if s not in matched_students]
     if missing:
@@ -295,11 +309,8 @@ def solve_cacq(
     x_set = _set_loads(strict, x_star, strict.memberships)
     certificate = {
         "pipeline": "cacq",
-        "max_memberships": ell,
-        "bounds": {
-            "max_deviation": max_dev,
-            "max_allowed": 2 * ell - 1,
-        },
+        "max_memberships": normalized.max_memberships,
+        "bounds": bounds,
         "quotas": {
             cs.id: {
                 "original": revision.original[cs.id],

@@ -18,13 +18,13 @@ import time
 from fractions import Fraction
 
 from . import fileformat as ff
-from .cacq import solve_cacq, verify_cacq
+from .cacq import quota_bounds, solve_cacq, verify_cacq
 from .errors import InputError, NearstableError, ResourceLimitError, UnstableInputError
 from .model import CacqInstance, HypergraphInstance, normalize_cacq, require_valid
 from .oracle import GeneratorConfig, enumerate_near_feasible, generate
 from .scarf import DEFAULT_PIVOT_BUDGET
-from .shm import solve_shm, verify_shm
-from .smf import flow_size, round_stable_flow, verify_flow
+from .shm import capacity_bounds, solve_shm, verify_shm
+from .smf import flow_bounds, round_stable_flow, verify_flow
 
 EXIT_PASS = 0
 EXIT_VERIFIED_FAIL = 2
@@ -159,57 +159,6 @@ def _cmd_round(args) -> int:
     return EXIT_PASS
 
 
-def _revision_bounds(original: dict, revised: dict, kind: str, allowed: int, signed_sum: bool) -> dict:
-    """The paper's revision bounds, recomputed from the instance's and the solution's capacities.
-
-    Every entry may move by at most `allowed`; with `signed_sum` the total
-    change must also lie in [0, allowed].  `violations` names each entry
-    (as `kind`) or the sum that breaks a bound.
-    """
-    deviation = {k: revised[k] - q for k, q in original.items()}
-    bounds = {"max_allowed": allowed, "max_deviation": max(map(abs, deviation.values()), default=0)}
-    violations = [{kind: k, "deviation": d} for k, d in deviation.items() if abs(d) > allowed]
-    if signed_sum:
-        total = sum(deviation.values())
-        bounds.update(sum_allowed=allowed, sum_deviation=total)
-        if not 0 <= total <= allowed:
-            violations.append({"sum": total})
-    bounds["violations"] = violations
-    return bounds
-
-
-def _smf_bounds(doc: ff.SmfDocument, capacity: dict, ccaps: dict, flow: dict) -> dict:
-    """The smf revision bounds, recomputed from the instance and the solution.
-
-    Aggregate capacities may move by at most k - 1 per arc and commodity
-    capacities not at all; a breach names the arc, or the arc and the
-    commodity.  The file does not record the rounding mode, so each
-    commodity's size drift from the instance's flow is checked against the
-    weaker limit of the two modes, the balanced one (below 2), and the
-    aggregate drift is reported against both modes' limits and checked
-    against the weaker, the default one (below k).
-    """
-    inst = doc.instance
-    k = inst.num_commodities
-    bounds = _revision_bounds(inst.capacity, capacity, "arc", max(k - 1, 0), signed_sum=False)
-    changed = {key: ccaps[key] - q for key, q in inst.commodity_capacity.items() if ccaps[key] != q}
-    bounds["commodity_max_deviation"] = max(map(abs, changed.values()), default=0)
-    bounds["commodity_allowed"] = 0
-    violations = bounds["violations"]
-    violations += [{"arc": arc, "commodity": j, "deviation": d} for (arc, j), d in changed.items()]
-    if doc.flow is not None:
-        drift = {j: flow_size(inst, flow, j) - flow_size(inst, doc.flow, j) for j in range(1, k + 1)}
-        total = abs(sum(drift.values()))
-        bounds["per_commodity_drift"] = {str(j): str(abs(d)) for j, d in drift.items()}
-        bounds["per_commodity_drift_allowed"] = "<2"
-        bounds["aggregate_drift"] = str(total)
-        bounds["aggregate_drift_allowed"] = {"balanced": "<1", "default": f"<{k}"}
-        violations += [{"commodity": j, "drift": str(abs(d))} for j, d in drift.items() if abs(d) >= 2]
-        if total >= k:
-            violations.append({"aggregate_drift": str(total)})
-    return bounds
-
-
 def _cmd_verify(args) -> int:
     inst_text = _read(args.instance)
     parsed = ff.parse_document(inst_text)
@@ -227,7 +176,7 @@ def _cmd_verify(args) -> int:
             "capacity_violations": list(report.capacity_violations),
         }
         ok = report.ok
-        bounds = _revision_bounds(parsed.capacities, capacities, "vertex", parsed.max_edge_size - 1, signed_sum=True)
+        bounds = capacity_bounds(parsed, capacities)
     elif isinstance(parsed, CacqInstance):
         quotas, matched = ff.parse_cacq_solution(sol_doc)
         normalized = normalize_cacq(parsed)
@@ -238,8 +187,7 @@ def _cmd_verify(args) -> int:
             "student_violations": list(report.student_violations),
         }
         ok = report.ok
-        original = {cs.id: cs.quota for cs in normalized.sets}
-        bounds = _revision_bounds(original, quotas, "set", 2 * normalized.max_memberships - 1, signed_sum=False)
+        bounds = quota_bounds(normalized, quotas)
     elif isinstance(parsed, ff.SmfDocument):
         capacity, ccaps, flow = ff.parse_smf_solution(sol_doc, parsed.instance)
         report = verify_flow(parsed.instance, flow, capacity=capacity, commodity_capacity=ccaps)
@@ -252,7 +200,7 @@ def _cmd_verify(args) -> int:
             "capacity_violations": list(report.capacity_violations),
         }
         ok = report.ok
-        bounds = _smf_bounds(parsed, capacity, ccaps, flow)
+        bounds = flow_bounds(parsed.instance, capacity, ccaps, flow, parsed.flow)
     else:
         raise InputError("unsupported instance kind for verify")
     elapsed = time.perf_counter() - start

@@ -190,12 +190,23 @@ class CapacityRevision:
     def sum_deviation(self) -> int:
         return sum(self.revised[k] - self.original[k] for k in self.original)
 
-    def changed(self) -> dict:
-        return {
-            k: (self.original[k], self.revised[k])
-            for k in self.original
-            if self.original[k] != self.revised[k]
-        }
+    def bounds(self, kind: str, allowed: int, signed_sum: bool = False) -> dict:
+        """The revision measured against a bound, as the solvers certify it and `verify` reports it.
+
+        Every entry may move by at most `allowed`; with `signed_sum` the total
+        change must also lie in [0, allowed].  `violations` names each entry
+        (as `kind`) or the sum that breaks a bound.
+        """
+        bounds = {"max_allowed": allowed, "max_deviation": self.max_deviation()}
+        deviation = {k: self.revised[k] - q for k, q in self.original.items()}
+        violations = [{kind: k, "deviation": d} for k, d in deviation.items() if abs(d) > allowed]
+        if signed_sum:
+            total = self.sum_deviation()
+            bounds.update(sum_allowed=allowed, sum_deviation=total)
+            if not 0 <= total <= allowed:
+                violations.append({"sum": total})
+        bounds["violations"] = violations
+        return bounds
 
 
 # ---------------------------------------------------------------------------

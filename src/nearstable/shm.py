@@ -13,7 +13,8 @@ originals together with an integral matching that is stable for them:
    remains, the aggregate capacity row), then re-maximize the size-weighted
    sum over the surviving equalities with all integer components fixed,
 5. read the revised capacities off the rounded vector, strip the gadget
-   edges, and verify stability of the result on the original instance.
+   edges, verify stability of the result on the original instance, and
+   check `capacity_bounds`, the bound `nearstable verify` reports too.
 """
 
 from __future__ import annotations
@@ -44,10 +45,6 @@ def break_instance_ties(inst: HypergraphInstance) -> HypergraphInstance:
         capacities=dict(inst.capacities),
         preferences={v: break_ties(order, fallback) for v, order in inst.preferences.items()},
     )
-
-
-def gadget_edge_ids(original: HypergraphInstance, gadgeted: HypergraphInstance) -> tuple[str, ...]:
-    return tuple(e.id for e in gadgeted.edges[len(original.edges):])
 
 
 def add_saturation_gadget(inst: HypergraphInstance) -> HypergraphInstance:
@@ -203,6 +200,9 @@ def verify_shm(inst: HypergraphInstance, capacities: Mapping, matching: Mapping)
     missing = [v for v in inst.vertices if v not in capacities]
     if missing:
         raise InputError(f"capacities missing for vertices: {missing}")
+    unknown = sorted(capacities.keys() - set(inst.vertices))
+    if unknown:
+        raise InputError(f"capacities given for unknown vertices: {unknown}")
     unknown = sorted(set(matching) - {e.id for e in inst.edges})
     if unknown:
         raise InputError(f"matching references unknown edges: {unknown}")
@@ -231,6 +231,15 @@ def verify_shm(inst: HypergraphInstance, capacities: Mapping, matching: Mapping)
     )
 
 
+def capacity_bounds(inst: HypergraphInstance, revised: Mapping) -> dict:
+    """The shm revision bound, as `solve_shm` certifies it and `verify` reports it.
+
+    With L the largest edge size, every vertex capacity moves by at most
+    L - 1 and the capacities' total change lies in [0, L - 1].
+    """
+    return CapacityRevision(inst.capacities, revised).bounds("vertex", inst.max_edge_size - 1, signed_sum=True)
+
+
 @dataclass(frozen=True)
 class ShmResult:
     revision: CapacityRevision
@@ -248,15 +257,13 @@ def solve_shm(
 ) -> ShmResult:
     """Full pipeline with the near-feasibility bounds asserted as certificates.
 
-    Guarantees on every run: per-vertex revision at most max-edge-size - 1,
-    total revision between 0 and max-edge-size - 1 (measured where the
-    rounding ran, i.e. with gadget edges counted), and a verifier pass with
-    zero blocking edges on the original instance.
+    Guarantees on every run: the revision meets `capacity_bounds` (per
+    vertex at most max-edge-size - 1, total between 0 and max-edge-size - 1),
+    and a verifier pass with zero blocking edges on the original instance.
     """
     require_valid(inst)
     strict = break_instance_ties(inst)
     gadgeted = add_saturation_gadget(strict)
-    gadget_ids = gadget_edge_ids(strict, gadgeted)
     build = build_shm_scarf(gadgeted)
     point = solve_scarf(build.problem, pivot_budget=pivot_budget, trace=trace)
     x_star = build.expand(point)
@@ -265,29 +272,19 @@ def solve_shm(
     gadget_report = verify_shm(gadgeted, revision.revised, y)
     if not gadget_report.ok:
         raise InternalError("rounded matching unstable on the gadgeted instance")
-    matching = strip_gadget(y, gadget_ids)
+    matching = strip_gadget(y, (e.id for e in gadgeted.edges[len(strict.edges):]))
     report = verify_shm(inst, revision.revised, matching)
     if not report.ok:
         raise InternalError("stripped matching unstable on the original instance")
-    ell = gadgeted.max_edge_size
-    max_dev = revision.max_deviation()
-    sum_dev = revision.sum_deviation()
-    if max_dev > ell - 1:
-        raise InternalError(f"pointwise capacity bound violated: {max_dev} > {ell - 1}")
-    if not 0 <= sum_dev <= ell - 1:
-        raise InternalError(f"total capacity bound violated: {sum_dev}")
-    matched_real = sum(
-        len(e.vertices) * matching[e.id] for e in inst.edges
-    )
+    bounds = capacity_bounds(inst, revision.revised)
+    violations = bounds.pop("violations")
+    if violations:
+        raise InternalError(f"capacity revision bounds violated: {violations}")
+    matched_real = sum(len(e.vertices) * matching[e.id] for e in inst.edges)
     certificate = {
         "pipeline": "shm",
-        "max_edge_size": ell,
-        "bounds": {
-            "max_deviation": max_dev,
-            "max_allowed": ell - 1,
-            "sum_deviation": sum_dev,
-            "sum_allowed": ell - 1,
-        },
+        "max_edge_size": inst.max_edge_size,
+        "bounds": bounds,
         "capacities": {
             v: {
                 "original": revision.original[v],

@@ -7,7 +7,8 @@ Commodity-specific capacities never change; aggregate capacities move by at
 most k - 1 (k = number of commodities).  In the default mode every
 commodity's flow size drifts by strictly less than one; the balanced mode
 trades that for an aggregate drift below one with per-commodity drift
-below two.
+below two.  `flow_bounds` states the bounds both modes share once, for
+`round_stable_flow`'s self-check and for `nearstable verify`.
 
 Each entry point reads its flow once (through `exact`) and builds the
 network maps (`arc_by_id`, `outgoing`, `incoming`) once per call; one
@@ -61,9 +62,10 @@ class FlowReport:
         return self.feasible and self.stable
 
 
-def flow_size(inst: FlowInstance, flow: Mapping, j: int) -> Fraction:
+def flow_size(inst: FlowInstance, flow: Mapping, j: int) -> int | Fraction:
+    """Commodity j's flow out of its source; an int when the flow's values there are."""
     source = inst.commodities[j - 1].source
-    return sum((exact(flow.get((a.id, j), 0)) for a in inst.arcs if a.tail == source), ZERO)
+    return sum(exact(flow.get((a.id, j), 0)) for a in inst.arcs if a.tail == source)
 
 
 def _unbalanced(inst: FlowInstance, values: Mapping, j: int, outgoing, incoming) -> list[str]:
@@ -164,6 +166,9 @@ def verify_flow(
     missing = [a.id for a in inst.arcs if a.id not in capacity] + [key for key in keys if key not in ccap]
     if missing:
         raise InputError(f"capacities missing for: {missing[:5]}")
+    unknown = sorted(capacity.keys() - {a.id for a in inst.arcs}) + sorted(ccap.keys() - set(keys))
+    if unknown:
+        raise InputError(f"capacities given for unknown arcs: {unknown[:5]}")
     nums, den = scale([exact(flow.get(key, 0)) for key in keys])
     x = dict(zip(keys, nums))
     totals = {a.id: sum(x[(a.id, j)] for j in commodities) for a in inst.arcs}
@@ -401,6 +406,35 @@ def compute_flow_capacities(inst: FlowInstance, flow: Mapping, rounded: Mapping)
     return FlowCapacities(aggregate=aggregate.revised, per_commodity=per_commodity.revised)
 
 
+def flow_bounds(inst: FlowInstance, capacity: Mapping, ccaps: Mapping, flow: Mapping, fractional: Mapping | None) -> dict:
+    """The smf revision bounds, as `round_stable_flow` certifies them and `verify` reports them.
+
+    Aggregate capacities move by at most k - 1 per arc and commodity
+    capacities not at all; a breach names the arc, or the arc and the
+    commodity.  Against the `fractional` flow that `flow` was rounded from,
+    if given, the size drift is held to the weaker limit of the two modes:
+    below 2 per commodity (balanced) and below k in aggregate (default).
+    """
+    k = inst.num_commodities
+    bounds = CapacityRevision(inst.capacity, capacity).bounds("arc", max(k - 1, 0))
+    changed = {key: ccaps[key] - q for key, q in inst.commodity_capacity.items() if ccaps[key] != q}
+    bounds["commodity_max_deviation"] = max(map(abs, changed.values()), default=0)
+    bounds["commodity_allowed"] = 0
+    violations = bounds["violations"]
+    violations += [{"arc": arc, "commodity": j, "deviation": d} for (arc, j), d in changed.items()]
+    if fractional is not None:
+        drift = {j: flow_size(inst, flow, j) - flow_size(inst, fractional, j) for j in range(1, k + 1)}
+        total = abs(sum(drift.values()))
+        bounds["per_commodity_drift"] = {str(j): str(abs(d)) for j, d in drift.items()}
+        bounds["per_commodity_drift_allowed"] = "<2"
+        bounds["aggregate_drift"] = str(total)
+        bounds["aggregate_drift_allowed"] = {"balanced": "<1", "default": f"<{k}"}
+        violations += [{"commodity": j, "drift": str(abs(d))} for j, d in drift.items() if abs(d) >= 2]
+        if total >= k:
+            violations.append({"aggregate_drift": str(total)})
+    return bounds
+
+
 @dataclass(frozen=True)
 class SmfResult:
     revision: CapacityRevision  # aggregate capacities
@@ -419,10 +453,10 @@ def round_stable_flow(
     """Round a stable fractional flow and certify the revised capacities.
 
     The input must verify as feasible and stable; otherwise the error
-    carries the witness blocking walk.  Certificates assert: commodity
-    capacities unchanged, aggregate revision at most k - 1 per arc, the
-    mode's size-drift bounds, and stability of the rounded flow under the
-    revised capacities.
+    carries the witness blocking walk.  Certificates assert `flow_bounds`,
+    the requested mode's stricter drift limit (below 1 per commodity by
+    default, in aggregate when balanced), and stability of the rounded flow
+    under the revised capacities.
     """
     require_valid(inst)
     report = verify_flow(inst, flow)
@@ -436,36 +470,28 @@ def round_stable_flow(
     k = inst.num_commodities
     rounded, steps = round_flow(inst, flow, balanced=balanced, trace=trace)
     caps = compute_flow_capacities(inst, flow, rounded)
-    for key, value in caps.per_commodity.items():
-        if value != inst.commodity_capacity[key]:
-            raise InternalError(f"commodity capacity changed at {key}")
-    revision = CapacityRevision(original=dict(inst.capacity), revised=caps.aggregate)
-    if revision.max_deviation() > max(k - 1, 0):
-        raise InternalError(f"aggregate capacity revision exceeds {k - 1}")
-    drift_limit = 2 if balanced else 1
-    sizes = {j: (flow_size(inst, flow, j), flow_size(inst, rounded, j)) for j in range(1, k + 1)}
-    per_drift = {j: abs(r - f) for j, (f, r) in sizes.items()}
-    for j, drift in per_drift.items():
-        if drift >= drift_limit:
-            raise InternalError(f"size drift bound violated for commodity {j}")
-    total_drift = abs(sum((r - f for f, r in sizes.values()), ZERO))
-    if balanced and total_drift >= 1:
-        raise InternalError("aggregate size drift bound violated")
-    if not balanced and total_drift >= k:
-        raise InternalError("aggregate size drift exceeded the commodity sum bound")
+    bounds = flow_bounds(inst, caps.aggregate, caps.per_commodity, rounded, flow)
+    if bounds["violations"]:
+        raise InternalError(f"revision bounds violated: {bounds['violations']}")
+    # The requested mode's own drift limit, stricter than the shared one.
+    drift = {"aggregate": bounds["aggregate_drift"]} if balanced else bounds["per_commodity_drift"]
+    over = {key: d for key, d in drift.items() if Fraction(d) >= 1}
+    if over:
+        raise InternalError(f"size drift is not below 1: {over}")
     final = verify_flow(inst, rounded, capacity=caps.aggregate, commodity_capacity=caps.per_commodity)
     if not final.ok:
         raise InternalError("rounded flow is unstable under the revised capacities")
+    sizes = {j: (flow_size(inst, flow, j), flow_size(inst, rounded, j)) for j in range(1, k + 1)}
     certificate = {
         "pipeline": "smf",
         "mode": "balanced" if balanced else "default",
         "commodities": k,
         "bounds": {
-            "max_capacity_deviation": revision.max_deviation(),
-            "max_capacity_allowed": max(k - 1, 0),
-            "per_commodity_drift": {str(j): str(per_drift[j]) for j in per_drift},
-            "per_commodity_drift_allowed": f"<{drift_limit}",
-            "aggregate_drift": str(total_drift),
+            "max_capacity_deviation": bounds["max_deviation"],
+            "max_capacity_allowed": bounds["max_allowed"],
+            "per_commodity_drift": bounds["per_commodity_drift"],
+            "per_commodity_drift_allowed": "<2" if balanced else "<1",
+            "aggregate_drift": bounds["aggregate_drift"],
         },
         "capacity": {
             a.id: {"original": inst.capacity[a.id], "revised": caps.aggregate[a.id]} for a in inst.arcs
@@ -478,7 +504,7 @@ def round_stable_flow(
         "iterations": len(steps),
     }
     return SmfResult(
-        revision=revision,
+        revision=CapacityRevision(original=dict(inst.capacity), revised=caps.aggregate),
         capacities=caps,
         rounded=rounded,
         certificate=certificate,

@@ -1,4 +1,7 @@
+import itertools
 import json
+
+import pytest
 
 from conftest import triangle_instance
 from nearstable import fileformat as ff
@@ -185,6 +188,65 @@ def test_verify_rejects_smf_capacities_outside_the_bounds(tmp_path, capsys):
     edited.write_text(ff.canonical_dumps(doc), encoding="utf-8")
     code, out, _ = run(capsys, "verify", str(inst), str(edited))
     assert code == 2 and {"arc": arc, "deviation": 2} in json.loads(out)["certificate"]["bounds"]["violations"]
+
+
+@pytest.mark.parametrize(
+    "family, field, message",
+    [
+        ("shm", "capacities", "capacities given for unknown vertices: ['ghost']"),
+        ("cacq", "quotas", "quotas given for unknown sets: ['ghost']"),
+        ("smf", "capacity", "capacities given for unknown arcs: ['ghost']"),
+        ("smf", "commodity_capacities", "capacities given for unknown arcs: [('ghost', 1)]"),
+    ],
+    ids=["shm", "cacq", "smf-aggregate", "smf-commodity"],
+)
+def test_verify_rejects_capacities_for_unknown_entities(tmp_path, capsys, family, field, message):
+    def edit(doc):
+        (doc[field][0] if field == "commodity_capacities" else doc[field])["ghost"] = 7
+
+    code, out, err = _verify_after_edit(tmp_path, capsys, family, ("--seed", "4"), edit, edited="sol.json")
+    assert (code, out, err) == (3, "", f"input error: {message}\n")
+
+
+def test_verify_smf_without_an_instance_flow_measures_no_drift(tmp_path, capsys):
+    """With no fractional flow to compare against, only the capacity bounds are reported."""
+
+    def edit(doc):
+        del doc["flow"]
+
+    code, out, _ = _verify_after_edit(tmp_path, capsys, "smf", ("--seed", "17"), edit)
+    payload = json.loads(out)
+    assert code == 0 and payload["verdict"] == "pass"
+    assert payload["certificate"]["bounds"] == {
+        "commodity_allowed": 0,
+        "commodity_max_deviation": 0,
+        "max_allowed": 1,
+        "max_deviation": 1,
+        "violations": [],
+    }
+
+
+def test_verify_agrees_with_the_solver_on_its_own_output(tmp_path, capsys):
+    """`verify` passes every solver output and reports the bounds the solver certified."""
+    inst, sol = tmp_path / "inst.json", tmp_path / "sol.json"
+    runs = [("shm", ("solve", "shm")), ("fixtures", ("solve", "shm")), ("cacq", ("solve", "cacq"))]
+    runs += [("smf", ("round", "smf", "--mode", mode)) for mode in ("default", "balanced")]
+    for (family, solve), seed in itertools.product(runs, range(1, 21)):
+        assert run(capsys, "gen", family, "--seed", str(seed), "-o", str(inst))[0] == 0
+        code, out, _ = run(capsys, *solve, str(inst), "-o", str(sol))
+        assert code == 0, (family, seed)
+        certified = json.loads(out)["certificate"]["bounds"]
+        code, out, _ = run(capsys, "verify", str(inst), str(sol))
+        assert code == 0, (family, seed)
+        reported = json.loads(out)["certificate"]["bounds"]
+        if family == "smf":
+            # The smf certificate names the aggregate deviation `max_capacity_deviation`.
+            reported["max_capacity_deviation"] = reported["max_deviation"]
+            shared = ("max_capacity_deviation", "per_commodity_drift", "aggregate_drift")
+            certified, reported = ({k: b[k] for k in shared} for b in (certified, reported))
+        else:
+            assert reported.pop("violations") == []
+        assert certified == reported, (family, seed)
 
 
 def test_gen_byte_identical(tmp_path, capsys):

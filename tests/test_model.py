@@ -156,7 +156,22 @@ def test_capacity_revision_deviations():
     rev = CapacityRevision(original={"a": 1, "b": 2}, revised={"a": 3, "b": 1})
     assert rev.max_deviation() == 2
     assert rev.sum_deviation() == 1
-    assert rev.changed() == {"a": (1, 3), "b": (2, 1)}
+
+
+def test_capacity_revision_bounds():
+    rev = CapacityRevision(original={"a": 1, "b": 2, "c": 4}, revised={"a": 3, "b": 1, "c": 1})
+    assert rev.bounds("v", 2) == {
+        "max_allowed": 2,
+        "max_deviation": 3,
+        "violations": [{"v": "c", "deviation": -3}],
+    }
+    assert rev.bounds("v", 3, signed_sum=True) == {
+        "max_allowed": 3,
+        "max_deviation": 3,
+        "sum_allowed": 3,
+        "sum_deviation": -2,
+        "violations": [{"sum": -2}],
+    }
 
 
 def test_capacity_revision_empty():
